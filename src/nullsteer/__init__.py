@@ -54,6 +54,7 @@ from .charges import (
     zeno_bound,
 )
 from .survival import (
+    EigenSurvivalOperator,
     EigenTriple,
     SurvivalOperator,
     SurvivalSpectrum,

@@ -20,6 +20,7 @@ from .errors import (
     NoBrightSubspaceError,
     PoleError,
 )
+from .models import as_vector
 
 #: Charges below this absolute value are treated as exactly zero (level dark).
 ZERO_CHARGE_THRESHOLD = 1e-12
@@ -107,7 +108,7 @@ def config_from_levels(energies, charge_values, tau, zero_threshold=ZERO_CHARGE_
 
 def charges(decomp, psi_d, tau, zero_threshold=ZERO_CHARGE_THRESHOLD):
     """Charge of every level of the decomposition at sampling time tau."""
-    psi = np.asarray(psi_d.vector if hasattr(psi_d, "vector") else psi_d, dtype=complex)
+    psi = as_vector(psi_d)
     values = []
     energies = []
     for lv in decomp.levels:

@@ -44,14 +44,14 @@ from .evolution import (
     evolve,
 )
 from .figures import FIGURES
-from .models import propagator, spectral_decompose
+from .models import spectral_decompose
 from .perturbation import (
     triple_charge_estimate,
     two_merge_estimate,
     weak_charge_estimate,
     zeno_time_estimate,
 )
-from .survival import build_survival, full_spectrum, merged_charge_config
+from .survival import EigenSurvivalOperator, full_spectrum, merged_charge_config
 
 
 def _pool_size():
@@ -99,13 +99,7 @@ class _Runtime:
         )
 
     def spectrum(self, tau):
-        return full_spectrum(
-            self.model,
-            self.psi_d,
-            tau,
-            grouping_tol=self.grouping_tol,
-            tie_tol=self.tie_tol,
-        )
+        return full_spectrum(self.decomp, self.psi_d, tau, tie_tol=self.tie_tol)
 
     def charge_config(self, tau):
         return compute_charges(
@@ -175,9 +169,8 @@ def _run_evolve(rt, out_dir, dump_states):
     psi_in = rt.initial_state(tau)
     if psi_in is None:
         raise ConfigError("experiment 'evolve' requires an initial_state")
-    U = propagator(rt.decomp, tau)
-    S = build_survival(U, rt.psi_d, tau=tau, source_decomp=rt.decomp)
-    traj = evolve(S, psi_in, rt.config.n_steps, rt.model.hamiltonian)
+    S = EigenSurvivalOperator(rt.decomp, rt.psi_d, tau)
+    traj = evolve(S, psi_in, rt.config.n_steps)
 
     header = [
         "n",
@@ -189,6 +182,7 @@ def _run_evolve(rt, out_dir, dump_states):
     if dump_states:
         for label in rt.model.basis_labels:
             header += [f"re_{label}", f"im_{label}"]
+        states = traj.states()
     rows = []
     for n, rec in enumerate(traj.records):
         row = [
@@ -199,7 +193,7 @@ def _run_evolve(rt, out_dir, dump_states):
             rec.phase,
         ]
         if dump_states:
-            for amp in rec.state:
+            for amp in states[n]:
                 row += [float(amp.real), float(amp.imag)]
         rows.append(row)
     path = os.path.join(out_dir, "trajectory.csv")
@@ -258,9 +252,11 @@ def _run_regime(rt, out_dir):
         "crossover_step": crossover,
     }
     if regime.oscillation is not None:
+        # A relative phase is defined only for a dominant pair.
+        relative_phase = regime.oscillation.get("relative_phase")
         payload["oscillation"] = {
             "energies": [float(e) for e in regime.oscillation["energies"]],
-            "relative_phase": float(regime.oscillation["relative_phase"]),
+            "relative_phase": None if relative_phase is None else float(relative_phase),
         }
     path = os.path.join(out_dir, "regime.json")
     with open(path, "w", newline="") as fh:

@@ -286,7 +286,7 @@ def _vector_from_spec(spec, dim):
     return re + 1j * im
 
 
-def _aligned_member(decomp, psi_d, tau, level_index, member_index):
+def aligned_member(decomp, psi_d, tau, level_index, member_index):
     """Resolve [k, l] with member 0 = bright projection, 1.. = dark combos."""
     if not 0 <= level_index < decomp.w:
         raise ConfigError(
@@ -294,9 +294,7 @@ def _aligned_member(decomp, psi_d, tau, level_index, member_index):
         )
     level = decomp.levels[level_index]
     if psi_d is not None and tau is not None:
-        detector = np.asarray(
-            psi_d.vector if hasattr(psi_d, "vector") else psi_d, dtype=complex
-        )
+        detector = models.as_vector(psi_d)
         config = compute_charges(decomp, detector, tau)
         if config.charges[level_index].p > config.zero_threshold:
             vecs = level.eigenvectors
@@ -338,7 +336,7 @@ def resolve_state(spec, model, decomp, psi_d=None, tau=None):
     if "energy_state" in spec:
         ks = spec["energy_state"]
         k, l = (ks, 0) if isinstance(ks, int) else ks
-        return _aligned_member(decomp, psi_d, tau, k, l)
+        return aligned_member(decomp, psi_d, tau, k, l)
     total = np.zeros(model.dim, dtype=complex)
     for term in spec["combination"]:
         weight = term.get("weight", 1.0)

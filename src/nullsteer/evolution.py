@@ -21,6 +21,7 @@ from .errors import (
     InvalidParameterError,
     UnsupportedMultiplicityError,
 )
+from .models import as_vector
 
 #: A raw step norm below this means the next measurement detects for sure.
 CERTAIN_DETECTION_TOL = 1e-14
@@ -39,11 +40,22 @@ EXCEPTIONAL = "Exceptional"
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class TrajectoryRecord:
-    state: np.ndarray
+    """One step; ``vector`` is the state in the coordinates evolve worked in.
+
+    ``basis`` maps those coordinates to the site basis (None when they are
+    the site basis); ``state`` is the site-basis state, formed on access.
+    """
+
+    vector: np.ndarray
     survival_amplitude: float
     cumulative_no_detection_probability: float
     mean_energy: float
     phase: float
+    basis: np.ndarray = None
+
+    @property
+    def state(self):
+        return self.vector if self.basis is None else self.basis @ self.vector
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -52,6 +64,12 @@ class Trajectory:
 
     records: tuple
     n_steps: int
+
+    def states(self):
+        """(n_steps + 1, dim) site-basis states, converted in one product."""
+        x = np.array([r.vector for r in self.records])
+        basis = self.records[0].basis
+        return x if basis is None else (basis @ x.T).T
 
     def energies(self):
         return np.array([r.mean_energy for r in self.records])
@@ -82,40 +100,54 @@ class OscillationDescriptor:
     state_at: object
 
 
-def _as_vector(psi):
-    return np.asarray(psi.vector if hasattr(psi, "vector") else psi, dtype=complex).ravel()
+def _dense_matrix(S):
+    return S.matrix if hasattr(S, "matrix") else np.asarray(S, dtype=complex)
 
 
 def step(S, psi):
     """One conditional step: apply S, record the norm, renormalize."""
-    m = S.matrix if hasattr(S, "matrix") else np.asarray(S, dtype=complex)
-    raw = m @ _as_vector(psi)
+    raw = _dense_matrix(S) @ as_vector(psi)
     amp = float(np.linalg.norm(raw))
     if amp < CERTAIN_DETECTION_TOL:
         raise CertainDetectionError()
     return raw / amp, amp
 
 
-def evolve(S, psi_in, n_steps, H):
+def evolve(S, psi_in, n_steps, H=None):
     """Iterate the survival operator, recording energy, norm, and phase.
 
+    ``psi_in`` is a site-basis state.  An EigenSurvivalOperator supplies
+    its own step and mean energy in the eigen-coordinates of H, where the
+    loop then runs (``H`` is not needed); a dense matrix or
+    SurvivalOperator is applied as it stands, with ``H`` for the energy.
     The cumulative no-detection probability is accumulated in log space;
     the phase record accumulates arg <psi_{n-1}|S|psi_{n-1}>, which equals
-    n arg(xi) when starting in an eigenvector.
+    n arg(xi) when starting in an eigenvector.  It is defined modulo 2 pi:
+    when that overlap is negative real, rounding picks +pi or -pi.
     """
-    m = S.matrix if hasattr(S, "matrix") else np.asarray(S, dtype=complex)
-    h = np.asarray(H, dtype=complex)
-    psi = _as_vector(psi_in)
+    if hasattr(S, "apply"):
+        apply, energy, basis = S.apply, S.energy, S.decomp.vectors
+        psi = S.decomp.coords(psi_in)
+    else:
+        if H is None:
+            raise InvalidParameterError("a dense survival operator needs H")
+        m = _dense_matrix(S)
+        h = np.asarray(H, dtype=complex)
+        basis = None
+        psi = as_vector(psi_in)
+
+        def apply(v):
+            return m @ v
+
+        def energy(v):
+            return float(np.real(np.vdot(v, h @ v)))
+
     psi = psi / np.linalg.norm(psi)
-
-    def energy(v):
-        return float(np.real(np.vdot(v, h @ v)))
-
-    records = [TrajectoryRecord(psi, 1.0, 1.0, energy(psi), 0.0)]
+    records = [TrajectoryRecord(psi, 1.0, 1.0, energy(psi), 0.0, basis)]
     log_p = 0.0
     phase = 0.0
     for n in range(1, n_steps + 1):
-        raw = m @ psi
+        raw = apply(psi)
         amp = float(np.linalg.norm(raw))
         if amp < CERTAIN_DETECTION_TOL:
             raise CertainDetectionError(step=n)
@@ -123,7 +155,7 @@ def evolve(S, psi_in, n_steps, H):
         psi = raw / amp
         log_p += 2.0 * math.log(amp)
         records.append(
-            TrajectoryRecord(psi, amp, math.exp(log_p), energy(psi), phase)
+            TrajectoryRecord(psi, amp, math.exp(log_p), energy(psi), phase, basis)
         )
     return Trajectory(tuple(records), n_steps)
 
@@ -149,7 +181,7 @@ def evolve_spectral(spectrum, psi_in, n, H):
     """
     if spectrum.exceptional_flag:
         raise ExceptionalSpectrumError("spectral evolution needs a diagonalizable S")
-    psi = _as_vector(psi_in)
+    psi = as_vector(psi_in)
     psi = psi / np.linalg.norm(psi)
     h = np.asarray(H, dtype=complex)
     if n == 0:
@@ -177,12 +209,13 @@ def evolve_spectral(spectrum, psi_in, n, H):
     return out, float(np.real(np.vdot(out, h @ out)))
 
 
-def _hamiltonian_of(spectrum):
-    if spectrum.operator is None or spectrum.operator.source_decomp is None:
+def _decomp_of(spectrum):
+    decomp = getattr(spectrum.operator, "decomp", None)
+    if decomp is None:
         raise InvalidParameterError(
             "spectrum carries no source decomposition; cannot recover H"
         )
-    return spectrum.operator.source_decomp.hamiltonian()
+    return decomp
 
 
 def classify_regime(
@@ -198,7 +231,7 @@ def classify_regime(
     a fixed point (single root) and persistent oscillation (tied pair or
     larger, reported with the full tie).
     """
-    psi = _as_vector(psi_in)
+    psi = as_vector(psi_in)
     psi = psi / np.linalg.norm(psi)
     if spectrum.exceptional_flag:
         return AsymptoticRegime(EXCEPTIONAL, ())
@@ -218,14 +251,11 @@ def classify_regime(
         raise CertainDetectionError(step=1)
     max_abs = max(abs(t.xi) for t in disk)
     dominant = tuple(t for t in disk if max_abs - abs(t.xi) <= tie_tol)
-    h = _hamiltonian_of(spectrum)
+    decomp = _decomp_of(spectrum)
     if len(dominant) == 1:
-        r = dominant[0].right
-        energy = float(np.real(np.vdot(r, h @ r)))
+        energy = decomp.mean_energy(dominant[0].right)
         return AsymptoticRegime(FIXED_POINT, dominant, predicted_energy=energy)
-    energies = tuple(
-        float(np.real(np.vdot(t.right, h @ t.right))) for t in dominant
-    )
+    energies = tuple(decomp.mean_energy(t.right) for t in dominant)
     osc = {"energies": energies}
     if len(dominant) == 2:
         phi = [float(np.angle(t.xi)) for t in dominant]
@@ -240,7 +270,7 @@ def oscillation_descriptor(regime, psi_in):
             f"oscillation descriptor needs exactly 2 dominant eigenvalues, "
             f"got {len(regime.dominant)} ({regime.kind})"
         )
-    psi = _as_vector(psi_in)
+    psi = as_vector(psi_in)
     psi = psi / np.linalg.norm(psi)
     t1, t2 = regime.dominant
     a1 = np.vdot(t1.left, psi) / np.vdot(t1.left, t1.right)
@@ -285,7 +315,7 @@ def crossover_step(
     darks = spectrum.by_kind("circle")
     dark_dominated = bool(darks)
     if psi_in is not None:
-        psi = _as_vector(psi_in)
+        psi = as_vector(psi_in)
         psi = psi / np.linalg.norm(psi)
         total = sum(abs(np.vdot(t.right, psi)) ** 2 for t in darks)
         dark_dominated = total > dark_overlap_tol

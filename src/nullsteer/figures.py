@@ -13,11 +13,12 @@ import numpy as np
 from . import models
 from .charges import charges as compute_charges
 from .charges import config_from_levels, stationary_points, zeno_bound
+from .configio import aligned_member
 from .csvio import write_csv
 from .errors import BoundNotApplicableError
 from .evolution import evolve
 from .models import spectral_decompose, propagator, site_state, DetectionState
-from .survival import build_survival, dark_states
+from .survival import build_survival
 from .svgplot import SvgFigure
 
 
@@ -40,18 +41,6 @@ def _run_energy(model, decomp, psi_d, psi_in, tau, n_steps):
     S = build_survival(U, psi_d.vector, tau=tau, source_decomp=decomp)
     traj = evolve(S, psi_in, n_steps, model.hamiltonian)
     return traj
-
-
-def _tree_member(decomp, psi_d, tau, level, member):
-    """Detector-aligned member: 0 = bright projection, 1.. = dark combos."""
-    lvl = decomp.levels[level]
-    if member == 0:
-        amps = lvl.eigenvectors.conj().T @ psi_d.vector
-        v = lvl.eigenvectors @ amps
-        return v / np.linalg.norm(v)
-    darks = [t.right for t in dark_states(decomp, psi_d, tau)
-             if t.source_level == level]
-    return darks[member - 1]
 
 
 def fig3(out_dir):
@@ -137,7 +126,7 @@ def fig5(out_dir):
 def fig8(out_dir):
     """Glued-tree ground state: saturation at 0 (tau=1.2) vs 1.25."""
     model, decomp, psi_d = _tree_setup()
-    psi_in = _tree_member(decomp, psi_d, 1.2, level=0, member=0)
+    psi_in = aligned_member(decomp, psi_d, 1.2, 0, 0)
     taus = (1.2, 1.25)
     n = 400
     runs = [_run_energy(model, decomp, psi_d, psi_in, tau, n) for tau in taus]
@@ -164,10 +153,10 @@ def fig9(out_dir):
     model, decomp, psi_d = _tree_setup()
     tau = 1.1
     n = 400
-    dark_2 = _tree_member(decomp, psi_d, tau, level=2, member=1)
-    dark_5 = _tree_member(decomp, psi_d, tau, level=5, member=1)
-    bright_10 = _tree_member(decomp, psi_d, tau, level=10, member=0)
-    bright_6 = _tree_member(decomp, psi_d, tau, level=6, member=0)
+    dark_2 = aligned_member(decomp, psi_d, tau, 2, 1)
+    dark_5 = aligned_member(decomp, psi_d, tau, 5, 1)
+    bright_10 = aligned_member(decomp, psi_d, tau, 10, 0)
+    bright_6 = aligned_member(decomp, psi_d, tau, 6, 0)
     combos = (
         ("two_component", (dark_2 + bright_10) / math.sqrt(2.0)),
         ("three_component", (dark_2 + bright_10 + dark_5) / math.sqrt(3.0)),
@@ -197,7 +186,7 @@ def fig9(out_dir):
 def fig11(out_dir):
     """Persistent energy oscillation, faster at tau=2.3 than at 2.35."""
     model, decomp, psi_d = _tree_setup()
-    psi_in = _tree_member(decomp, psi_d, 2.3, level=0, member=0)
+    psi_in = aligned_member(decomp, psi_d, 2.3, 0, 0)
     taus = (2.3, 2.35)
     n = 300
     runs = [_run_energy(model, decomp, psi_d, psi_in, tau, n) for tau in taus]

@@ -9,6 +9,7 @@ in the degeneracy, so the grouping tolerance is an explicit parameter.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -68,7 +69,13 @@ class Level:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Distinct levels of a Hermitian model, sorted ascending in energy."""
+    """Distinct levels of a Hermitian model, sorted ascending in energy.
+
+    ``vectors`` stacks every level's eigenvectors column by column in level
+    order, and ``column_energies`` gives each column its level energy, so
+    H = V diag(e) V^dag.  Both are built on first use; threads that race
+    to that first use build identical arrays.
+    """
 
     levels: tuple
     w: int
@@ -81,6 +88,22 @@ class SpectralDecomposition:
     @property
     def energies(self):
         return np.array([lv.energy for lv in self.levels])
+
+    @functools.cached_property
+    def vectors(self):
+        return np.hstack([lv.eigenvectors for lv in self.levels])
+
+    @functools.cached_property
+    def column_energies(self):
+        return np.repeat(self.energies, [lv.degeneracy for lv in self.levels])
+
+    def coords(self, v):
+        """Eigen-coordinates V^dag v of a site-basis state."""
+        return (as_vector(v).conj() @ self.vectors).conj()
+
+    def mean_energy(self, v):
+        """<v|H|v> as sum_j e_j |(V^dag v)_j|^2."""
+        return float(self.column_energies @ (np.abs(self.coords(v)) ** 2))
 
     def projector(self, k):
         v = self.levels[k].eigenvectors
@@ -105,6 +128,11 @@ class DetectionState:
         if abs(np.linalg.norm(v) - 1.0) > 1e-12:
             raise InvalidParameterError("detection state must be normalized to 1e-12")
         object.__setattr__(self, "vector", v)
+
+
+def as_vector(psi):
+    """Complex 1-D array of a state given as a vector or a DetectionState."""
+    return np.asarray(psi.vector if hasattr(psi, "vector") else psi, dtype=complex).ravel()
 
 
 def _require_finite(**params):

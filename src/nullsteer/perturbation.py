@@ -16,6 +16,7 @@ import numpy as np
 
 from .charges import energy_spread, zeno_bound
 from .errors import NotApplicableError
+from .models import as_vector
 
 WEAK_CHARGE = "WeakCharge"
 TWO_MERGE = "TwoMerge"
@@ -144,9 +145,7 @@ def two_merge_estimate(config, index_a, index_b, decomp=None, psi_d=None):
 
     state = None
     if decomp is not None and psi_d is not None:
-        psi = np.asarray(
-            psi_d.vector if hasattr(psi_d, "vector") else psi_d, dtype=complex
-        )
+        psi = as_vector(psi_d)
         va = decomp.levels[index_a].eigenvectors
         vb = decomp.levels[index_b].eigenvectors
         state = (va @ (va.conj().T @ psi)) / a.p - (vb @ (vb.conj().T @ psi)) / b.p

@@ -6,11 +6,17 @@ U^-1 psi_d), unit-circle eigenvalues come from dark states (level members
 orthogonal to the detector, completed by a Gram-Schmidt recursion inside
 degenerate levels), and the remaining eigenvalues are the charge-field
 stationary points with resolvent-formula eigenvectors.
+
+All of it works in the eigen-coordinates of H, where U(tau) is the vector
+z = exp(-i e tau) and S is diagonal plus rank one.  The dense
+``propagator``, ``build_survival`` and ``zero_eigenpair(U, ...)`` remain as
+oracles for tests.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -30,7 +36,7 @@ from .errors import (
     NumericalFailureError,
     RootTooCloseError,
 )
-from .models import propagator, spectral_decompose
+from .models import SpectralDecomposition, as_vector, spectral_decompose
 
 #: Overlaps below this count as exact detector orthogonality (state is dark).
 ORTHOGONALITY_TOL = 1e-10
@@ -62,6 +68,43 @@ class SurvivalOperator:
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
+class EigenSurvivalOperator:
+    """S in the eigen-coordinates x = V^dag v of H: x -> z*x - c (c^dag (z*x)).
+
+    ``c`` = V^dag psi_d is the detector and ``z`` = exp(-i e tau) the
+    diagonal of U(tau).  ``matrix``, the dense site-basis S, is built only
+    on first access; it serves tests as an oracle.
+    """
+
+    decomp: SpectralDecomposition
+    detection: object
+    tau: float
+
+    @functools.cached_property
+    def c(self):
+        return self.decomp.coords(self.detection)
+
+    @functools.cached_property
+    def z(self):
+        return np.exp(-1j * self.decomp.column_energies * self.tau)
+
+    @functools.cached_property
+    def matrix(self):
+        v = self.decomp.vectors
+        u = (v * self.z) @ v.conj().T
+        psi = as_vector(self.detection)
+        return u - np.outer(psi, psi.conj() @ u)
+
+    def apply(self, x):
+        y = self.z * x
+        return y - self.c * np.vdot(self.c, y)
+
+    def energy(self, x):
+        """Mean energy of an eigen-coordinate vector, sum_j e_j |x_j|^2."""
+        return float(self.decomp.column_energies @ (np.abs(x) ** 2))
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
 class EigenTriple:
     """One eigenvalue of S with unit-norm right and left eigenvectors.
 
@@ -87,7 +130,7 @@ class SurvivalSpectrum:
     counts: tuple
     exceptional_flag: bool
     min_biorthogonal_overlap: float
-    operator: SurvivalOperator = None
+    operator: EigenSurvivalOperator = None
     charge_config: object = None
     stationary: object = None
     aliased_level_pairs: tuple = ()
@@ -105,9 +148,9 @@ def _phase_fix(v):
 
 
 def build_survival(U, psi_d, tau=None, source_decomp=None):
-    """S = (1 - |psi_d><psi_d|) U for a unitary U."""
+    """Dense S = (1 - |psi_d><psi_d|) U for a unitary U (test oracle)."""
     U = np.asarray(U, dtype=complex)
-    psi = np.asarray(psi_d.vector if hasattr(psi_d, "vector") else psi_d, dtype=complex)
+    psi = as_vector(psi_d)
     if U.ndim != 2 or U.shape[0] != U.shape[1] or U.shape[0] != psi.size:
         raise InvalidParameterError("U must be square and match the detection state")
     if np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0]))) > 1e-8:
@@ -156,7 +199,7 @@ def dark_states(decomp, psi_d, tau, ortho_tol=ORTHOGONALITY_TOL):
     combinations.  Each dark state carries xi = exp(-i E_k tau), equal left
     and right vectors, and its level energy.
     """
-    psi = np.asarray(psi_d.vector if hasattr(psi_d, "vector") else psi_d, dtype=complex)
+    psi = as_vector(psi_d)
     triples = []
     for k, lv in enumerate(decomp.levels):
         xi = complex(np.exp(-1j * lv.energy * tau))
@@ -187,10 +230,9 @@ def _cross_level_darks(decomp, psi_d, tau, config):
     Bright states of levels sharing one phase support combinations with
     zero detector weight; the same recursion applies with alphas sqrt(p).
     """
-    psi = np.asarray(psi_d.vector if hasattr(psi_d, "vector") else psi_d, dtype=complex)
+    psi = as_vector(psi_d)
     groups = _alias_groups(config)
     triples = []
-    h = decomp.hamiltonian()
     for group in groups:
         if len(group) < 2:
             continue
@@ -207,7 +249,7 @@ def _cross_level_darks(decomp, psi_d, tau, config):
         for row in coeffs:
             v = sum(c * b for c, b in zip(row, brights))
             v = _phase_fix(v / np.linalg.norm(v))
-            energy = float(np.real(np.vdot(v, h @ v)))
+            energy = decomp.mean_energy(v)
             triples.append(
                 EigenTriple(phase, v, v, KIND_CIRCLE, source_level=None, energy=energy)
             )
@@ -264,7 +306,7 @@ def merged_charge_config(config):
 
 def bright_states(decomp, psi_d, zero_threshold=ZERO_CHARGE_THRESHOLD):
     """(level index, normalized projected detector) for each charged level."""
-    psi = np.asarray(psi_d.vector if hasattr(psi_d, "vector") else psi_d, dtype=complex)
+    psi = as_vector(psi_d)
     out = []
     for k, lv in enumerate(decomp.levels):
         amp = lv.eigenvectors.conj().T @ psi
@@ -275,52 +317,60 @@ def bright_states(decomp, psi_d, zero_threshold=ZERO_CHARGE_THRESHOLD):
 
 
 def zero_eigenpair(U, psi_d):
-    """The always-present xi = 0 pair: right U^-1|psi_d>, left |psi_d>."""
+    """The always-present xi = 0 pair: right U^-1|psi_d>, left |psi_d> (dense oracle)."""
     U = np.asarray(U, dtype=complex)
-    psi = np.asarray(psi_d.vector if hasattr(psi_d, "vector") else psi_d, dtype=complex)
+    psi = as_vector(psi_d)
     right = _phase_fix(U.conj().T @ psi)
     return EigenTriple(0.0 + 0.0j, right, psi.copy(), KIND_ZERO)
 
 
-def disk_eigenpairs(decomp, psi_d, tau, roots, U=None):
+def disk_eigenpairs(decomp, psi_d, tau, roots):
     """Resolvent-formula eigenvectors for the supplied disk roots.
 
-    right ~ (xi - U)^-1 |psi_d>, left^dag ~ <psi_d| U (xi - U)^-1.  Roots
-    within 1e-10 of any level phase are refused: the resolvent is singular
-    there.
+    right ~ (xi - U)^-1 |psi_d> = V (c / (xi - z)) and
+    left ~ (conj(xi) - U^dag)^-1 U^dag |psi_d> = V (conj(z) c / (conj(xi) - conj(z))),
+    each root one column of a single product with V.  Roots within 1e-10 of
+    any level phase are refused: the resolvent is singular there.
     """
-    psi = np.asarray(psi_d.vector if hasattr(psi_d, "vector") else psi_d, dtype=complex)
-    if U is None:
-        U = propagator(decomp, tau)
-    phases = np.exp(-1j * decomp.energies * tau)
-    eye = np.eye(len(psi), dtype=complex)
-    triples = []
-    for xi in roots:
-        xi = complex(xi)
-        if np.min(np.abs(xi - phases)) < 1e-10:
+    s = EigenSurvivalOperator(decomp, psi_d, tau)
+    c, z = s.c, s.z
+    xis = np.array([complex(xi) for xi in roots], dtype=complex)
+    for xi in xis:
+        if np.min(np.abs(xi - z)) < 1e-10:
             raise RootTooCloseError(
                 f"root {xi:.6g} is within 1e-10 of a unit-circle phase"
             )
-        right = np.linalg.solve(xi * eye - U, psi)
+    zc = np.conj(z)[:, None]
+    rights = decomp.vectors @ (c[:, None] / (xis - z[:, None]))
+    lefts = decomp.vectors @ (zc * c[:, None] / (np.conj(xis) - zc))
+    triples = []
+    for xi, right, left in zip(xis, rights.T, lefts.T):
         right = _phase_fix(right / np.linalg.norm(right))
-        left = np.linalg.solve(np.conj(xi) * eye - U.conj().T, U.conj().T @ psi)
         left = _phase_fix(left / np.linalg.norm(left))
-        triples.append(EigenTriple(xi, right, left, KIND_DISK))
+        triples.append(EigenTriple(complex(xi), right, left, KIND_DISK))
     return triples
 
 
 def full_spectrum(model, psi_d, tau, grouping_tol=None, tie_tol=DEFAULT_TIE_TOL):
     """Assemble and classify the complete eigensystem of S.
 
+    ``model`` is a HermitianModel, decomposed here with ``grouping_tol``, or
+    an existing SpectralDecomposition, which is used as it stands.
     Non-exceptional spectra satisfy the count partition
     dim = 1 + (number of distinct charged phases - 1) + circle states.
     Total coalescence at 0 (and any stationary-point coalescence or loss of
     disk biorthogonality) sets the exceptional flag; the spectrum is still
     returned, but spectral evolution and the completeness identity refuse it.
     """
-    decomp = spectral_decompose(model, grouping_tol)
-    u = propagator(decomp, tau)
-    s_op = build_survival(u, psi_d, tau=tau, source_decomp=decomp)
+    if isinstance(model, SpectralDecomposition):
+        if grouping_tol is not None:
+            raise InvalidParameterError(
+                "grouping_tol applies only when full_spectrum decomposes a model"
+            )
+        decomp = model
+    else:
+        decomp = spectral_decompose(model, grouping_tol)
+    s_op = EigenSurvivalOperator(decomp, psi_d, tau)
     config = compute_charges(decomp, psi_d, tau)
     aliased = phase_aliasing(decomp, tau)
 
@@ -330,13 +380,14 @@ def full_spectrum(model, psi_d, tau, grouping_tol=None, tie_tol=DEFAULT_TIE_TOL)
     sp = stationary_points(effective, tie_tol=tie_tol)
     report = detect_exceptional(effective)
 
-    zero = zero_eigenpair(u, psi_d)
+    zero_right = _phase_fix(decomp.vectors @ (np.conj(s_op.z) * s_op.c))
+    zero = EigenTriple(0.0 + 0.0j, zero_right, as_vector(psi_d).copy(), KIND_ZERO)
     triples = [zero]
     disk_roots = [r for r in sp.roots if abs(r) >= ZERO_CLASS_TOL]
     extra_zero = [r for r in sp.roots if abs(r) < ZERO_CLASS_TOL]
     for r in extra_zero:
         triples.append(EigenTriple(complex(r), zero.right, zero.left, KIND_ZERO))
-    disk = disk_eigenpairs(decomp, psi_d, tau, disk_roots, U=u)
+    disk = disk_eigenpairs(decomp, psi_d, tau, disk_roots)
     triples += disk
     triples += darks
 
@@ -347,7 +398,7 @@ def full_spectrum(model, psi_d, tau, grouping_tol=None, tie_tol=DEFAULT_TIE_TOL)
     counts = (1 + len(extra_zero), len(disk), len(darks))
     if not exceptional:
         w_eff = len(_alias_groups(config))
-        expected = (1, w_eff - 1, model.dim - 1 - (w_eff - 1))
+        expected = (1, w_eff - 1, decomp.dim - 1 - (w_eff - 1))
         if counts != expected:
             raise NumericalFailureError(
                 f"spectrum partition {counts} does not match expected {expected}"

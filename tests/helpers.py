@@ -36,6 +36,19 @@ def match_eigenvalues(computed, reference):
     return worst
 
 
+def disk_pair_residual(matrix, triples):
+    """Largest of |S r - xi r| and |l^dag S - xi l^dag| over eigentriples."""
+    s = np.asarray(matrix, dtype=complex)
+    worst = 0.0
+    for t in triples:
+        worst = max(
+            worst,
+            float(np.linalg.norm(s @ t.right - t.xi * t.right)),
+            float(np.linalg.norm(t.left.conj() @ s - t.xi * t.left.conj())),
+        )
+    return worst
+
+
 def glued_tree_reference_energies(d):
     """Analytic eigenvalue multiset of the depth-d glued-tree Hamiltonian.
 

@@ -279,6 +279,28 @@ def test_run_regime_sweep_flips_kind(tmp_path):
     assert [r[3] for r in rows] == ["1", "2"]
 
 
+def test_run_regime_tie_of_more_than_two_roots(tmp_path, capsys):
+    # a loose tie tolerance makes every disk root dominant; the relative
+    # phase is defined only for a pair, so it is written as null
+    payload = {
+        "model": {"type": "glued_tree", "depth": 3},
+        "detection": {"site": "(1,1)"},
+        "initial_state": {"combination": [{"weight": 1.0, "site": "(2,1)"},
+                                          {"weight": 1.0, "site": "(2,2)"}]},
+        "tau": 1.1,
+        "experiment": "regime",
+    }
+    out = tmp_path / "out"
+    argv = ["run", "--config", _write(tmp_path, payload), "--out", str(out),
+            "--tie-tol", "1.0"]
+    assert main(argv) == 0
+    got = json.loads((out / "regime.json").read_text())
+    assert got["kind"] == "Oscillatory"
+    assert len(got["dominant"]) > 2
+    assert len(got["oscillation"]["energies"]) == len(got["dominant"])
+    assert got["oscillation"]["relative_phase"] is None
+
+
 def test_run_sweep_tau_bound_goes_nan(tmp_path):
     payload = _chain_payload(
         experiment="sweep-tau",

@@ -1,0 +1,194 @@
+"""The eigen-coordinate survival core against the dense oracles.
+
+``propagator`` and ``build_survival`` build the dense S; the production
+path never does.  These tests pin the two together and check that the
+`run` path stays off the dense functions.
+"""
+
+import json
+import math
+import sys
+
+import numpy as np
+import pytest
+
+import nullsteer as ns
+from nullsteer.cli import run_experiment
+from nullsteer.csvio import read_csv
+
+from helpers import disk_pair_residual
+
+SYMMETRIC_START = {"combination": [{"weight": 1.0, "site": "(2,1)"},
+                                   {"weight": 1.0, "site": "(2,2)"}]}
+
+
+def _tree_payload(depth, tau, experiment, **extra):
+    payload = {
+        "model": {"type": "glued_tree", "depth": depth},
+        "detection": {"site": "(1,1)"},
+        "initial_state": SYMMETRIC_START,
+        "tau": tau,
+        "experiment": experiment,
+    }
+    payload.update(extra)
+    return payload
+
+
+def _write(tmp_path, payload):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def _count_calls(monkeypatch, original):
+    """Count calls of a module-level function under every nullsteer alias."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "nullsteer" or name.startswith("nullsteer."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+def _count_method_calls(monkeypatch, cls, name):
+    calls = []
+    original = getattr(cls, name)
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_disk_and_zero_pairs_solve_dense_s_tree_d6():
+    model = ns.build_glued_tree(6)
+    decomp = ns.spectral_decompose(model)
+    psi_d = ns.site_state(model, "(1,1)")
+    tau = 1.1
+    spectrum = ns.full_spectrum(decomp, psi_d, tau)
+    s = ns.build_survival(ns.propagator(decomp, tau), psi_d).matrix
+    disk = spectrum.by_kind("disk")
+    assert len(disk) == spectrum.counts[1] > 0
+    assert disk_pair_residual(s, disk) < 1e-10
+    zero = spectrum.by_kind("zero")[0]
+    assert np.linalg.norm(s @ zero.right) < 1e-10
+    np.testing.assert_allclose(spectrum.operator.matrix, s, atol=1e-12)
+
+
+def test_full_spectrum_accepts_decomposition(chain):
+    model, decomp, psi_d = chain
+    from_model = ns.full_spectrum(model, psi_d, 2.0)
+    from_decomp = ns.full_spectrum(decomp, psi_d, 2.0)
+    assert from_model.counts == from_decomp.counts
+    for a, b in zip(from_model.triples, from_decomp.triples):
+        assert a.xi == b.xi
+        np.testing.assert_allclose(a.right, b.right, atol=1e-14)
+    # a decomposition already fixes its level grouping
+    with pytest.raises(ns.InvalidParameterError):
+        ns.full_spectrum(decomp, psi_d, 2.0, grouping_tol=1e-6)
+
+
+def test_operator_step_matches_dense_step(tree):
+    model, decomp, psi_d = tree
+    tau = 1.25
+    s_eig = ns.EigenSurvivalOperator(decomp, psi_d, tau)
+    s_dense = ns.build_survival(ns.propagator(decomp, tau), psi_d).matrix
+    psi = ns.site_state(model, "(2,1)")
+    x = decomp.coords(psi)
+    np.testing.assert_allclose(decomp.vectors @ s_eig.apply(x), s_dense @ psi, atol=1e-14)
+    energy = float(np.real(np.vdot(psi, model.hamiltonian @ psi)))
+    assert abs(s_eig.energy(x) - energy) < 1e-14
+    assert abs(decomp.mean_energy(psi) - s_eig.energy(x)) < 1e-15
+    (nxt_eig, amp_eig), (nxt, amp) = ns.step(s_eig, psi), ns.step(s_dense, psi)
+    assert abs(amp_eig - amp) < 1e-14
+    np.testing.assert_allclose(nxt_eig, nxt, atol=1e-14)
+
+
+def test_evolve_records_site_states_for_operator(tree):
+    model, decomp, psi_d = tree
+    tau = 1.1
+    spectrum = ns.full_spectrum(decomp, psi_d, tau)
+    s_dense = ns.build_survival(ns.propagator(decomp, tau), psi_d)
+    psi = ns.site_state(model, "(2,1)")
+    eig = ns.evolve(spectrum.operator, psi, 30, model.hamiltonian)
+    dense = ns.evolve(s_dense, psi, 30, model.hamiltonian)
+    states = eig.states()
+    with pytest.raises(ns.InvalidParameterError):
+        ns.evolve(s_dense, psi, 3)  # a dense operator needs H for the energy
+    for n, (a, b) in enumerate(zip(eig.records, dense.records)):
+        np.testing.assert_allclose(a.state, b.state, atol=1e-12)
+        np.testing.assert_allclose(states[n], b.state, atol=1e-12)
+        assert abs(a.mean_energy - b.mean_energy) < 1e-12
+
+
+def test_cli_evolve_matches_dense_evolve(tmp_path):
+    depth, tau, n = 4, 1.3, 400
+    out = tmp_path / "out"
+    run_experiment(_write(tmp_path, _tree_payload(depth, tau, "evolve", n_steps=n)),
+                   str(out), dump_states=True)
+    header, rows = read_csv(out / "trajectory.csv")
+
+    model = ns.build_glued_tree(depth)
+    decomp = ns.spectral_decompose(model)
+    psi_d = ns.site_state(model, "(1,1)")
+    psi = ns.site_state(model, "(2,1)") + ns.site_state(model, "(2,2)")
+    s = ns.build_survival(ns.propagator(decomp, tau), psi_d)
+    dense = ns.evolve(s, psi / np.linalg.norm(psi), n, model.hamiltonian)
+
+    assert len(rows) == n + 1
+    for row, rec in zip(rows, dense.records):
+        for got, want in ((row[1], rec.mean_energy),
+                          (row[2], rec.survival_amplitude),
+                          (row[3], rec.cumulative_no_detection_probability)):
+            assert abs(float(got) - want) <= 1e-12 * max(1.0, abs(want))
+        # the phase column is defined modulo 2 pi
+        assert abs(math.remainder(float(row[4]) - rec.phase, 2.0 * math.pi)) < 1e-9
+        state = np.array([float(v) for v in row[5::2]]) + 1j * np.array(
+            [float(v) for v in row[6::2]])
+        assert np.max(np.abs(state - rec.state)) < 1e-10
+
+
+def test_sweep_decomposes_once(tmp_path, monkeypatch):
+    decompose = _count_calls(monkeypatch, ns.spectral_decompose)
+    propagate = _count_calls(monkeypatch, ns.propagator)
+    rebuild_h = _count_method_calls(monkeypatch, ns.SpectralDecomposition, "hamiltonian")
+    tau = {"start": 0.3, "stop": 2.9, "steps": 60}
+    run_experiment(_write(tmp_path, _tree_payload(4, tau, "sweep-tau")),
+                   str(tmp_path / "out"))
+    assert len(decompose) == 1
+    assert not propagate and not rebuild_h
+
+
+def test_sweep_threads_share_one_decomposition(tmp_path, monkeypatch):
+    # pool workers race to build the decomposition's cached V on first use
+    cfg = _write(tmp_path, _tree_payload(4, {"start": 0.3, "stop": 2.9, "steps": 20},
+                                         "sweep-tau"))
+    outputs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in ("1", "8"):
+            monkeypatch.setenv("NULLSTEER_THREADS", threads)
+            run_experiment(cfg, str(tmp_path / threads))
+            outputs.append((tmp_path / threads / "sweep.csv").read_bytes())
+    finally:
+        sys.setswitchinterval(interval)
+    assert outputs[0] == outputs[1]
+
+
+def test_regime_and_evolve_build_no_dense_operator(tmp_path, monkeypatch):
+    propagate = _count_calls(monkeypatch, ns.propagator)
+    survival = _count_calls(monkeypatch, ns.build_survival)
+    rebuild_h = _count_method_calls(monkeypatch, ns.SpectralDecomposition, "hamiltonian")
+    for experiment in ("regime", "evolve"):
+        cfg = _write(tmp_path, _tree_payload(4, 1.3, experiment))
+        run_experiment(cfg, str(tmp_path / experiment), dump_states=True)
+    assert not propagate and not survival and not rebuild_h

@@ -13,6 +13,7 @@ from nullsteer import (
 
 from helpers import (
     dense_eigenvalues,
+    disk_pair_residual,
     match_eigenvalues,
     random_model,
     random_unitary,
@@ -204,6 +205,9 @@ def test_random_spectra_match_dense_oracle(seed):
     oracle = dense_eigenvalues(spectrum.operator.matrix)
     assert match_eigenvalues([t.xi for t in spectrum.triples], oracle) < 1e-8
     assert ns.completeness_check(spectrum) < 1e-8
+    decomp = ns.spectral_decompose(model)
+    dense = ns.build_survival(ns.propagator(decomp, tau), psi).matrix
+    assert disk_pair_residual(dense, spectrum.by_kind("disk")) < 1e-10
 
 
 @settings(derandomize=True, max_examples=15, deadline=None)
