@@ -80,8 +80,10 @@ class ChargeConfiguration:
 class StationaryPoints:
     """Roots of the field numerator: the disk eigenvalues.
 
-    ``argmax_set`` indexes every root whose modulus ties the maximum
-    within the tie tolerance used to compute it.
+    ``roots`` run by descending modulus; roots whose moduli agree to
+    COALESCENCE_TOL (a conjugate pair) run by descending imaginary part,
+    then real part.  ``argmax_set`` indexes every root whose modulus ties
+    the maximum within the tie tolerance used to compute it.
     """
 
     roots: tuple
@@ -174,6 +176,25 @@ def _polish(active, xi):
     return best, best_res
 
 
+def _by_descending_modulus(polished):
+    """(root, residual) pairs sorted by descending |root|, rounding-proof.
+
+    Moduli within COALESCENCE_TOL of the largest one in their run count as
+    equal: a conjugate pair's moduli differ only by rounding, so comparing
+    them would order the pair by noise.  Tied roots come by descending
+    imaginary part, then descending real part.
+    """
+    rest = sorted(polished, key=lambda t: -abs(t[0]))
+    ordered = []
+    while rest:
+        top = abs(rest[0][0])
+        n = next((i for i, t in enumerate(rest) if top - abs(t[0]) > COALESCENCE_TOL),
+                 len(rest))
+        ordered += sorted(rest[:n], key=lambda t: (-t[0].imag, -t[0].real))
+        rest = rest[n:]
+    return ordered
+
+
 def stationary_points(config, tie_tol=DEFAULT_TIE_TOL):
     """All stationary points of the charge field, polished to full precision.
 
@@ -203,10 +224,10 @@ def stationary_points(config, tie_tol=DEFAULT_TIE_TOL):
         f, _ = _field_and_derivative(active, 0.0 + 0.0j)
         polished.append((0.0 + 0.0j, abs(f) if f is not None else math.inf))
 
-    polished.sort(key=lambda t: (-abs(t[0]), t[0].real, t[0].imag))
+    polished = _by_descending_modulus(polished)
     roots = tuple(p[0] for p in polished)
     residuals = tuple(p[1] for p in polished)
-    max_abs = abs(roots[0]) if roots else 0.0
+    max_abs = max((abs(r) for r in roots), default=0.0)
     argmax = tuple(i for i, r in enumerate(roots) if max_abs - abs(r) <= tie_tol)
     if not roots:
         argmax = ()
@@ -237,6 +258,17 @@ def zeno_bound(decomp, tau):
     return bound, t_b, t_b / tau
 
 
+def _coalesced_points(roots):
+    """Each of ``roots`` and xi = 0 within COALESCENCE_TOL of a later one."""
+    pts = list(roots) + [0.0 + 0.0j]
+    coalesced = []
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if abs(pts[i] - pts[j]) < COALESCENCE_TOL:
+                coalesced.append(pts[i])
+    return coalesced
+
+
 def detect_exceptional(config, spectrum_hint=None):
     """Flag configurations whose stationary points coalesce.
 
@@ -244,13 +276,7 @@ def detect_exceptional(config, spectrum_hint=None):
     xi = 0; when a spectrum is supplied its minimum disk biorthogonal
     overlap is also consulted.
     """
-    sp = stationary_points(config)
-    pts = list(sp.roots) + [0.0 + 0.0j]
-    coalesced = []
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if abs(pts[i] - pts[j]) < COALESCENCE_TOL:
-                coalesced.append(pts[i])
+    coalesced = _coalesced_points(stationary_points(config).roots)
     min_biorth = math.nan
     if spectrum_hint is not None:
         overlaps = [

@@ -12,7 +12,6 @@ detection (null conditioning impossible, reported with the step index),
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -52,25 +51,6 @@ from .perturbation import (
     zeno_time_estimate,
 )
 from .survival import EigenSurvivalOperator, full_spectrum, merged_charge_config
-
-
-def _pool_size():
-    env = os.environ.get("NULLSTEER_THREADS", "")
-    if env.strip():
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"NULLSTEER_THREADS must be an integer, got {env!r}") from exc
-        return max(1, n)
-    return max(1, min(8, os.cpu_count() or 1))
-
-
-def _map_in_order(fn, values):
-    """Apply fn over values with a bounded pool; results in input order."""
-    if len(values) == 1:
-        return [fn(values[0])]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=_pool_size()) as pool:
-        return list(pool.map(fn, values))
 
 
 class _Runtime:
@@ -229,7 +209,7 @@ def _run_regime(rt, out_dir):
                 -1 if crossover is None else crossover,
             )
 
-        rows = _map_in_order(worker, list(rt.config.tau_values))
+        rows = [worker(tau) for tau in rt.config.tau_values]
         path = os.path.join(out_dir, "regime_sweep.csv")
         write_csv(
             path,
@@ -273,7 +253,7 @@ def _run_sweep_tau(rt, out_dir):
         mods = sorted((abs(r) for r in sp.roots), reverse=True)
         top = mods[0] if mods else float("nan")
         second = mods[1] if len(mods) > 1 else float("nan")
-        lead = max(sp.roots, key=lambda r: (abs(r), r.real, r.imag), default=0j)
+        lead = sp.roots[0] if sp.roots else 0j
         n_circle = rt.model.dim - len(merged.active())
         try:
             bound = zeno_bound(rt.decomp, tau)[0]
@@ -293,7 +273,7 @@ def _run_sweep_tau(rt, out_dir):
             kind,
         )
 
-    rows = _map_in_order(worker, list(rt.config.tau_values))
+    rows = [worker(tau) for tau in rt.config.tau_values]
     path = os.path.join(out_dir, "sweep.csv")
     write_csv(
         path,

@@ -71,27 +71,24 @@ class Level:
 class SpectralDecomposition:
     """Distinct levels of a Hermitian model, sorted ascending in energy.
 
-    ``vectors`` stacks every level's eigenvectors column by column in level
-    order, and ``column_energies`` gives each column its level energy, so
-    H = V diag(e) V^dag.  Both are built on first use; threads that race
-    to that first use build identical arrays.
+    ``vectors`` is the eigenvector matrix V, columns in level order, and
+    each level's ``eigenvectors`` is a column slice (a view) of it.  V is
+    real when H is real and read-only either way.  ``column_energies``
+    gives each column its level energy, so H = V diag(e) V^dag.
     """
 
     levels: tuple
     w: int
     grouping_tol: float
+    vectors: np.ndarray
 
     @property
     def dim(self):
-        return self.levels[0].eigenvectors.shape[0]
+        return self.vectors.shape[0]
 
     @property
     def energies(self):
         return np.array([lv.energy for lv in self.levels])
-
-    @functools.cached_property
-    def vectors(self):
-        return np.hstack([lv.eigenvectors for lv in self.levels])
 
     @functools.cached_property
     def column_energies(self):
@@ -277,14 +274,18 @@ def site_state(model, label):
 def spectral_decompose(model, grouping_tol=None):
     """Eigendecompose a model and group degenerate levels.
 
+    A Hamiltonian with no imaginary part goes to the real-symmetric solver
+    and gives a real V; any other goes to the complex Hermitian one.
     Eigenvalues are clustered by transitive closure of |E_i - E_j| <=
     grouping_tol (default 1e-8 times the spectral radius); each cluster's
-    eigenvectors are re-orthonormalized.
+    eigenvectors are the solver's orthonormal columns, kept as views of V.
     """
+    h = model.hamiltonian
     try:
-        evals, vecs = np.linalg.eigh(model.hamiltonian)
+        evals, vecs = np.linalg.eigh(h if h.imag.any() else h.real)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigensolver failed: {exc}") from exc
+    vecs.flags.writeable = False
     radius = float(np.max(np.abs(evals))) if evals.size else 0.0
     if grouping_tol is None:
         grouping_tol = DEFAULT_GROUPING_REL_TOL * radius
@@ -295,13 +296,10 @@ def spectral_decompose(model, grouping_tol=None):
     start = 0
     for i in range(1, len(evals) + 1):
         if i == len(evals) or evals[i] - evals[i - 1] > grouping_tol:
-            block = vecs[:, start:i].astype(complex)
-            if block.shape[1] > 1:
-                block, _ = np.linalg.qr(block)
             energy = float(np.mean(evals[start:i]))
-            levels.append(Level(energy, i - start, block))
+            levels.append(Level(energy, i - start, vecs[:, start:i]))
             start = i
-    return SpectralDecomposition(tuple(levels), len(levels), float(grouping_tol))
+    return SpectralDecomposition(tuple(levels), len(levels), float(grouping_tol), vecs)
 
 
 def propagator(decomp, tau):

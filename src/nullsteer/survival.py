@@ -26,8 +26,8 @@ from .charges import (
     ChargeConfiguration,
     DEFAULT_TIE_TOL,
     ZERO_CHARGE_THRESHOLD,
+    _coalesced_points,
     charges as compute_charges,
-    detect_exceptional,
     stationary_points,
 )
 from .errors import (
@@ -378,7 +378,6 @@ def full_spectrum(model, psi_d, tau, grouping_tol=None, tie_tol=DEFAULT_TIE_TOL)
     darks += _cross_level_darks(decomp, psi_d, tau, config)
     effective = merged_charge_config(config)
     sp = stationary_points(effective, tie_tol=tie_tol)
-    report = detect_exceptional(effective)
 
     zero_right = _phase_fix(decomp.vectors @ (np.conj(s_op.z) * s_op.c))
     zero = EigenTriple(0.0 + 0.0j, zero_right, as_vector(psi_d).copy(), KIND_ZERO)
@@ -393,7 +392,9 @@ def full_spectrum(model, psi_d, tau, grouping_tol=None, tie_tol=DEFAULT_TIE_TOL)
 
     overlaps = [abs(np.vdot(t.left, t.right)) for t in disk]
     min_biorth = float(min(overlaps)) if overlaps else 1.0
-    exceptional = report.is_exceptional or min_biorth < 1e-8 or bool(extra_zero)
+    exceptional = (
+        bool(_coalesced_points(sp.roots)) or min_biorth < 1e-8 or bool(extra_zero)
+    )
 
     counts = (1 + len(extra_zero), len(disk), len(darks))
     if not exceptional:

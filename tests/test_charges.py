@@ -108,6 +108,24 @@ def test_argmax_tie_for_symmetric_pair():
     assert len(sp.roots) == 2
     assert abs(sp.roots[0] - np.conj(sp.roots[1])) < 1e-12
     assert sp.argmax_set == (0, 1)
+    assert sp.roots[0].imag > 0  # the upper member of a tied pair comes first
+
+
+def test_root_order_does_not_depend_on_the_eigensolver():
+    # A diagonal phase gauge makes the glued tree's H complex, so it goes to
+    # the complex solver; the charge configuration is the same, and so must
+    # be the order of its conjugate-paired roots.
+    model = ns.build_glued_tree(6)
+    gauge = np.exp(1j * np.arange(model.dim))
+    complex_model = ns.build_custom(
+        gauge[:, None] * model.hamiltonian * gauge.conj()[None, :], model.basis_labels)
+    real, cplx = ns.spectral_decompose(model), ns.spectral_decompose(complex_model)
+    assert real.vectors.dtype == np.float64 and cplx.vectors.dtype == np.complex128
+    psi_d = ns.site_state(model, "(1,1)")
+    for tau in np.linspace(0.6, 2.4, 25):
+        a = ns.stationary_points(ns.merged_charge_config(ns.charges(real, psi_d, tau)))
+        b = ns.stationary_points(ns.merged_charge_config(ns.charges(cplx, psi_d, tau)))
+        np.testing.assert_allclose(a.roots, b.roots, atol=1e-9)
 
 
 def test_deflation_yields_exact_zero_roots():

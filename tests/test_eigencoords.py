@@ -129,6 +129,39 @@ def test_evolve_records_site_states_for_operator(tree):
         assert abs(a.mean_energy - b.mean_energy) < 1e-12
 
 
+def _exact_mean_energies(h, psi_d, psi, tau, n_steps, digits=40):
+    """Mean energy after each of n_steps null steps, in mpmath at ``digits``.
+
+    Decomposes the real symmetric ``h`` with ``mp.eigsy`` and steps the
+    eigen-coordinates x -> z*x - c (c^T (z*x)), renormalizing each step.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = digits
+    energies, q = mp.eigsy(mp.matrix(h.tolist()))
+    dim = h.shape[0]
+    cols = range(dim)
+
+    def project(v):
+        return [mp.fsum(q[i, j] * v[i] for i in cols) for j in cols]
+
+    def normalized(v):
+        norm = mp.sqrt(mp.fsum(abs(a) ** 2 for a in v))
+        return [a / norm for a in v]
+
+    c = project(psi_d)
+    z = [mp.expj(-energies[j] * tau) for j in cols]
+    x = normalized([mp.mpc(a) for a in project(psi)])
+    out = []
+    for step in range(n_steps + 1):
+        if step:
+            y = [z[j] * x[j] for j in cols]
+            overlap = mp.fsum(c[j] * y[j] for j in cols)
+            x = normalized([y[j] - c[j] * overlap for j in cols])
+        out.append(float(mp.fsum(energies[j] * abs(x[j]) ** 2 for j in cols)))
+    return out
+
+
 def test_cli_evolve_matches_dense_evolve(tmp_path):
     depth, tau, n = 4, 1.3, 400
     out = tmp_path / "out"
@@ -143,10 +176,14 @@ def test_cli_evolve_matches_dense_evolve(tmp_path):
     s = ns.build_survival(ns.propagator(decomp, tau), psi_d)
     dense = ns.evolve(s, psi / np.linalg.norm(psi), n, model.hamiltonian)
 
+    exact = _exact_mean_energies(model.hamiltonian.real, psi_d.real, psi.real, tau, n)
+
     assert len(rows) == n + 1
-    for row, rec in zip(rows, dense.records):
-        for got, want in ((row[1], rec.mean_energy),
-                          (row[2], rec.survival_amplitude),
+    for row, rec, energy in zip(rows, dense.records, exact):
+        # each path's mean energy against the 40-digit reference
+        for got in (float(row[1]), rec.mean_energy):
+            assert abs(got - energy) <= 1e-12 * max(1.0, abs(energy))
+        for got, want in ((row[2], rec.survival_amplitude),
                           (row[3], rec.cumulative_no_detection_probability)):
             assert abs(float(got) - want) <= 1e-12 * max(1.0, abs(want))
         # the phase column is defined modulo 2 pi
@@ -167,23 +204,6 @@ def test_sweep_decomposes_once(tmp_path, monkeypatch):
     assert not propagate and not rebuild_h
 
 
-def test_sweep_threads_share_one_decomposition(tmp_path, monkeypatch):
-    # pool workers race to build the decomposition's cached V on first use
-    cfg = _write(tmp_path, _tree_payload(4, {"start": 0.3, "stop": 2.9, "steps": 20},
-                                         "sweep-tau"))
-    outputs = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for threads in ("1", "8"):
-            monkeypatch.setenv("NULLSTEER_THREADS", threads)
-            run_experiment(cfg, str(tmp_path / threads))
-            outputs.append((tmp_path / threads / "sweep.csv").read_bytes())
-    finally:
-        sys.setswitchinterval(interval)
-    assert outputs[0] == outputs[1]
-
-
 def test_regime_and_evolve_build_no_dense_operator(tmp_path, monkeypatch):
     propagate = _count_calls(monkeypatch, ns.propagator)
     survival = _count_calls(monkeypatch, ns.build_survival)
@@ -192,3 +212,9 @@ def test_regime_and_evolve_build_no_dense_operator(tmp_path, monkeypatch):
         cfg = _write(tmp_path, _tree_payload(4, 1.3, experiment))
         run_experiment(cfg, str(tmp_path / experiment), dump_states=True)
     assert not propagate and not survival and not rebuild_h
+
+
+def test_regime_solves_stationary_points_once(tmp_path, monkeypatch):
+    solve = _count_calls(monkeypatch, ns.stationary_points)
+    run_experiment(_write(tmp_path, _tree_payload(4, 1.3, "regime")), str(tmp_path / "out"))
+    assert len(solve) == 1

@@ -140,6 +140,45 @@ def test_projectors_orthonormal_and_complete(tree):
     np.testing.assert_allclose(decomp.hamiltonian(), model.hamiltonian, atol=1e-12)
 
 
+def _random_real_symmetric(seed, dim):
+    a = np.random.default_rng(seed).normal(size=(dim, dim))
+    return a + a.T
+
+
+@pytest.mark.parametrize("model", [
+    ns.build_glued_tree(6),
+    ns.build_custom(_random_real_symmetric(7, 40)),
+], ids=["glued_tree_d6", "random_real_symmetric"])
+def test_real_hamiltonian_gives_one_real_v(model):
+    decomp = ns.spectral_decompose(model)
+    v = decomp.vectors
+    assert v.dtype == np.float64
+    assert all(np.shares_memory(lv.eigenvectors, v) for lv in decomp.levels)
+    assert np.max(np.abs(v.T @ v - np.eye(model.dim))) < 1e-13
+    # oracle: the complex Hermitian solver, grouped like the decomposition
+    evals, vecs = np.linalg.eigh(model.hamiltonian.astype(complex))
+    start = 0
+    for k, lv in enumerate(decomp.levels):
+        cols = slice(start, start + lv.degeneracy)
+        assert abs(lv.energy - np.mean(evals[cols])) < 1e-12
+        p_oracle = vecs[:, cols] @ vecs[:, cols].conj().T
+        assert np.max(np.abs(decomp.projector(k) - p_oracle)) < 1e-12
+        start += lv.degeneracy
+    assert start == model.dim
+
+
+def test_complex_hamiltonian_keeps_complex_v():
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    model = ns.build_custom(a + a.conj().T)
+    decomp = ns.spectral_decompose(model)
+    v = decomp.vectors
+    assert v.dtype == np.complex128
+    assert all(np.shares_memory(lv.eigenvectors, v) for lv in decomp.levels)
+    assert np.max(np.abs(v.conj().T @ v - np.eye(model.dim))) < 1e-13
+    np.testing.assert_allclose(decomp.hamiltonian(), model.hamiltonian, atol=1e-12)
+
+
 def test_propagator_unitary_and_diagonal(chain):
     model, decomp, _ = chain
     tau = 1.7
