@@ -43,10 +43,12 @@ from .models import (
 from .charges import (
     Charge,
     ChargeConfiguration,
+    DetectorSplit,
     ExceptionalReport,
     StationaryPoints,
     charges,
     config_from_levels,
+    dark_combination_coeffs,
     detect_exceptional,
     energy_spread,
     field,
@@ -61,7 +63,6 @@ from .survival import (
     bright_states,
     build_survival,
     completeness_check,
-    dark_combination_coeffs,
     dark_states,
     disk_eigenpairs,
     full_spectrum,

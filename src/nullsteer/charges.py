@@ -4,12 +4,14 @@ Each distinct level k carries a charge p_k = <psi_d|P_k|psi_d> sitting at
 the unit-circle phase exp(-i E_k tau).  The nontrivial eigenvalues of the
 survival operator are the stationary points of the 2-D field
 F(xi) = sum_k p_k / (xi - exp(-i E_k tau)), i.e. roots of its numerator
-polynomial.
+polynomial.  Only the phases depend on tau: a ``DetectorSplit`` holds the
+rest (detector overlaps, charges, dark vectors) for every tau.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -20,10 +22,13 @@ from .errors import (
     NoBrightSubspaceError,
     PoleError,
 )
-from .models import as_vector
+from .models import SpectralDecomposition, _phase_fix, as_vector
 
 #: Charges below this absolute value are treated as exactly zero (level dark).
 ZERO_CHARGE_THRESHOLD = 1e-12
+
+#: Overlaps below this count as exact detector orthogonality (state is dark).
+ORTHOGONALITY_TOL = 1e-10
 
 #: Default |xi| tie tolerance when collecting the dominant root set.
 DEFAULT_TIE_TOL = 1e-6
@@ -99,6 +104,105 @@ class ExceptionalReport:
     min_biorthogonality: float
 
 
+def dark_combination_coeffs(alphas):
+    """Dark combinations of level members with detector overlaps ``alphas``.
+
+    Given m overlaps a_l = <E_l|psi_d>, returns an (m-1, m) array whose row
+    i is the normalized coefficient vector of the (i+1)-th dark state:
+    each row uses the first i+2 members and is orthogonal to the detector
+    weight vector and to all previous rows.  The result depends on the
+    member ordering, which callers fix deterministically.
+    """
+    a = np.asarray(alphas, dtype=complex)
+    m = a.size
+    out = np.zeros((m - 1, m), dtype=complex)
+    for i in range(1, m):
+        row = np.zeros(m, dtype=complex)
+        row[:i] = -np.conj(a[i]) * a[:i]
+        row[i] = np.sum(np.abs(a[:i]) ** 2)
+        out[i - 1] = row / np.linalg.norm(row)
+    return out
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class DetectorSplit:
+    """The tau-independent part of one detector in one decomposition.
+
+    ``c`` = V^dag psi_d, the level charges ``p`` and the dark vectors
+    ``darks`` do not depend on tau, so a tau sweep builds them once.
+    ``vector`` is the detection state, so a split may be passed wherever a
+    detection state is expected; the functions taking (decomp, psi_d) read
+    from it when it belongs to their decomposition.
+    """
+
+    decomp: SpectralDecomposition
+    detection: object
+    ortho_tol: float = ORTHOGONALITY_TOL
+
+    @functools.cached_property
+    def vector(self):
+        return as_vector(self.detection)
+
+    @functools.cached_property
+    def c(self):
+        return self.decomp.coords(self.vector)
+
+    @functools.cached_property
+    def starts(self):
+        """Index of each level's first column in V."""
+        return np.cumsum([0] + [lv.degeneracy for lv in self.decomp.levels[:-1]])
+
+    @functools.cached_property
+    def p(self):
+        return np.add.reduceat((self.c * self.c.conj()).real, self.starts)
+
+    def overlaps(self, k):
+        """Detector overlaps <E_l|psi_d> of level k's members."""
+        start = self.starts[k]
+        return self.c[start : start + self.decomp.levels[k].degeneracy]
+
+    def bright(self, k):
+        """Normalized projection of the detector onto level k (p_k > 0)."""
+        lv = self.decomp.levels[k]
+        return (lv.eigenvectors @ self.overlaps(k)) / math.sqrt(self.p[k])
+
+    @functools.cached_property
+    def darks(self):
+        """(level index, read-only unit vector) for each per-level dark state.
+
+        Members orthogonal to the detector within ``ortho_tol`` are dark as
+        they stand; each level's remaining members are sorted by descending
+        overlap magnitude (ties by index) and fed to the Gram-Schmidt
+        recursion, yielding g_eff - 1 dark combinations.
+        """
+        out = []
+        for k, lv in enumerate(self.decomp.levels):
+            a = self.overlaps(k)
+            effective = []
+            for l in range(lv.degeneracy):
+                if abs(a[l]) < self.ortho_tol:
+                    out.append((k, _phase_fix(lv.eigenvectors[:, l].copy())))
+                else:
+                    effective.append(l)
+            if len(effective) > 1:
+                order = sorted(effective, key=lambda l: (-abs(a[l]), l))
+                w = lv.eigenvectors[:, order]
+                for row in dark_combination_coeffs(a[order]):
+                    v = _phase_fix(w @ row)
+                    out.append((k, v / np.linalg.norm(v)))
+        for _, v in out:
+            v.setflags(write=False)
+        return tuple(out)
+
+
+def _as_split(decomp, psi_d, ortho_tol=ORTHOGONALITY_TOL):
+    """``psi_d`` when it is already the split wanted, else a new split of it."""
+    if (isinstance(psi_d, DetectorSplit) and psi_d.decomp is decomp
+            and psi_d.ortho_tol == ortho_tol):
+        return psi_d
+    return DetectorSplit(decomp, psi_d, ortho_tol)
+
+
 def config_from_levels(energies, charge_values, tau, zero_threshold=ZERO_CHARGE_THRESHOLD):
     """Assemble a ChargeConfiguration directly from level data."""
     charges_ = tuple(
@@ -110,14 +214,8 @@ def config_from_levels(energies, charge_values, tau, zero_threshold=ZERO_CHARGE_
 
 def charges(decomp, psi_d, tau, zero_threshold=ZERO_CHARGE_THRESHOLD):
     """Charge of every level of the decomposition at sampling time tau."""
-    psi = as_vector(psi_d)
-    values = []
-    energies = []
-    for lv in decomp.levels:
-        amp = lv.eigenvectors.conj().T @ psi
-        values.append(float(np.real(np.vdot(amp, amp))))
-        energies.append(lv.energy)
-    return config_from_levels(energies, values, tau, zero_threshold)
+    p = _as_split(decomp, psi_d).p
+    return config_from_levels(decomp.energies, p, tau, zero_threshold)
 
 
 def field(config, xi):

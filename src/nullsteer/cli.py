@@ -23,6 +23,7 @@ from . import __version__
 from .charges import (
     DEFAULT_TIE_TOL,
     ZERO_CHARGE_THRESHOLD,
+    DetectorSplit,
     charges as compute_charges,
     stationary_points,
     zeno_bound,
@@ -70,6 +71,7 @@ class _Runtime:
         self.model = build_model(config)
         self.decomp = spectral_decompose(self.model, self.grouping_tol)
         self.psi_d = resolve_detection(config, self.model, self.decomp)
+        self.split = DetectorSplit(self.decomp, self.psi_d)
 
     def initial_state(self, tau):
         if self.config.initial_state is None:
@@ -79,11 +81,14 @@ class _Runtime:
         )
 
     def spectrum(self, tau):
-        return full_spectrum(self.decomp, self.psi_d, tau, tie_tol=self.tie_tol)
+        return full_spectrum(
+            self.decomp, self.split, tau, tie_tol=self.tie_tol,
+            zero_threshold=self.zero_threshold,
+        )
 
     def charge_config(self, tau):
         return compute_charges(
-            self.decomp, self.psi_d, tau, zero_threshold=self.zero_threshold
+            self.decomp, self.split, tau, zero_threshold=self.zero_threshold
         )
 
     def resolved_tolerances(self):
@@ -149,7 +154,7 @@ def _run_evolve(rt, out_dir, dump_states):
     psi_in = rt.initial_state(tau)
     if psi_in is None:
         raise ConfigError("experiment 'evolve' requires an initial_state")
-    S = EigenSurvivalOperator(rt.decomp, rt.psi_d, tau)
+    S = EigenSurvivalOperator(rt.decomp, rt.split, tau)
     traj = evolve(S, psi_in, rt.config.n_steps)
 
     header = [
@@ -247,21 +252,29 @@ def _run_regime(rt, out_dir):
 
 def _run_sweep_tau(rt, out_dir):
     def worker(tau):
-        config = rt.charge_config(tau)
-        merged = merged_charge_config(config)
-        sp = stationary_points(merged, tie_tol=rt.tie_tol)
+        # With an initial state, the spectrum the regime needs also holds
+        # the roots and the charge groups, so they are not solved twice.
+        kind = ""
+        if rt.config.initial_state is None:
+            merged = merged_charge_config(rt.charge_config(tau))
+            sp = stationary_points(merged, tie_tol=rt.tie_tol)
+            w_eff = len(merged.active())
+        else:
+            spectrum = rt.spectrum(tau)
+            sp, w_eff = spectrum.stationary, len(spectrum.alias_groups)
+            kind = classify_regime(
+                spectrum, rt.initial_state(tau), tie_tol=rt.tie_tol,
+                dark_overlap_tol=rt.dark_overlap_tol,
+            ).kind
         mods = sorted((abs(r) for r in sp.roots), reverse=True)
         top = mods[0] if mods else float("nan")
         second = mods[1] if len(mods) > 1 else float("nan")
         lead = sp.roots[0] if sp.roots else 0j
-        n_circle = rt.model.dim - len(merged.active())
+        n_circle = rt.model.dim - w_eff
         try:
             bound = zeno_bound(rt.decomp, tau)[0]
         except BoundNotApplicableError:
             bound = float("nan")
-        kind = ""
-        if rt.config.initial_state is not None:
-            kind = _regime_summary(rt, tau)[1].kind
         return (
             tau,
             float(lead.real),

@@ -32,8 +32,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidParameterError, NullsteerError
 from . import models
-from .charges import charges as compute_charges
-from .survival import dark_states
+from .charges import ZERO_CHARGE_THRESHOLD, DetectorSplit
 
 EXPERIMENTS = ("spectrum", "charges", "evolve", "sweep-tau", "regime", "perturb")
 MODEL_TYPES = (
@@ -294,24 +293,16 @@ def aligned_member(decomp, psi_d, tau, level_index, member_index):
         )
     level = decomp.levels[level_index]
     if psi_d is not None and tau is not None:
-        detector = models.as_vector(psi_d)
-        config = compute_charges(decomp, detector, tau)
-        if config.charges[level_index].p > config.zero_threshold:
-            vecs = level.eigenvectors
-            amps = vecs.conj().T @ detector
-            bright = vecs @ amps
-            bright = bright / np.linalg.norm(bright)
-            darks = [
-                t.right for t in dark_states(decomp, detector, tau)
-                if t.source_level == level_index
-            ]
-            basis = [bright] + darks
+        split = DetectorSplit(decomp, psi_d)
+        if split.p[level_index] > ZERO_CHARGE_THRESHOLD:
+            darks = [v for k, v in split.darks if k == level_index]
+            basis = [split.bright(level_index)] + darks
             if not 0 <= member_index < len(basis):
                 raise ConfigError(
                     f"energy_state member {member_index} out of range for level "
                     f"{level_index} (bright + {len(darks)} dark members)"
                 )
-            return basis[member_index]
+            return basis[member_index].copy()
     if not 0 <= member_index < level.degeneracy:
         raise ConfigError(
             f"energy_state member {member_index} out of range for level "

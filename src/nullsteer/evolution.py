@@ -218,6 +218,13 @@ def _decomp_of(spectrum):
     return decomp
 
 
+def _dark_weights(darks, psi):
+    """|<dark|psi>|^2 for each circle triple, as one product."""
+    if not darks:
+        return np.zeros(0)
+    return np.abs(np.array([t.right for t in darks]).conj() @ psi) ** 2
+
+
 def classify_regime(
     spectrum,
     psi_in,
@@ -237,10 +244,10 @@ def classify_regime(
         return AsymptoticRegime(EXCEPTIONAL, ())
 
     darks = spectrum.by_kind("circle")
-    weights = [abs(np.vdot(t.right, psi)) ** 2 for t in darks]
-    total = float(sum(weights))
+    weights = _dark_weights(darks, psi)
+    total = float(weights.sum())
     if total > dark_overlap_tol:
-        energy = float(sum(w * t.energy for w, t in zip(weights, darks)) / total)
+        energy = float(weights @ np.array([t.energy for t in darks]) / total)
         dominant = tuple(
             t for w, t in zip(weights, darks) if w > dark_overlap_tol
         )
@@ -317,8 +324,7 @@ def crossover_step(
     if psi_in is not None:
         psi = as_vector(psi_in)
         psi = psi / np.linalg.norm(psi)
-        total = sum(abs(np.vdot(t.right, psi)) ** 2 for t in darks)
-        dark_dominated = total > dark_overlap_tol
+        dark_dominated = float(_dark_weights(darks, psi).sum()) > dark_overlap_tol
     if dark_dominated:
         if not disk:
             return 1

@@ -132,6 +132,15 @@ def as_vector(psi):
     return np.asarray(psi.vector if hasattr(psi, "vector") else psi, dtype=complex).ravel()
 
 
+def _phase_fix(v):
+    """``v`` times the phase that makes its largest component real positive."""
+    idx = int(np.argmax(np.abs(v)))
+    a = v[idx]
+    if abs(a) == 0:
+        return v
+    return v * (abs(a) / a)
+
+
 def _require_finite(**params):
     for name, value in params.items():
         if not math.isfinite(value):

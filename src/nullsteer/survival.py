@@ -25,9 +25,12 @@ from .charges import (
     Charge,
     ChargeConfiguration,
     DEFAULT_TIE_TOL,
+    ORTHOGONALITY_TOL,
     ZERO_CHARGE_THRESHOLD,
+    _as_split,
     _coalesced_points,
     charges as compute_charges,
+    dark_combination_coeffs,
     stationary_points,
 )
 from .errors import (
@@ -36,10 +39,7 @@ from .errors import (
     NumericalFailureError,
     RootTooCloseError,
 )
-from .models import SpectralDecomposition, as_vector, spectral_decompose
-
-#: Overlaps below this count as exact detector orthogonality (state is dark).
-ORTHOGONALITY_TOL = 1e-10
+from .models import SpectralDecomposition, _phase_fix, as_vector, spectral_decompose
 
 #: |xi| below this is classified as the zero eigenvalue.
 ZERO_CLASS_TOL = 1e-10
@@ -71,7 +71,8 @@ class SurvivalOperator:
 class EigenSurvivalOperator:
     """S in the eigen-coordinates x = V^dag v of H: x -> z*x - c (c^dag (z*x)).
 
-    ``c`` = V^dag psi_d is the detector and ``z`` = exp(-i e tau) the
+    ``c`` = V^dag psi_d is the detector (read from ``detection`` when that
+    is a DetectorSplit of ``decomp``) and ``z`` = exp(-i e tau) the
     diagonal of U(tau).  ``matrix``, the dense site-basis S, is built only
     on first access; it serves tests as an oracle.
     """
@@ -82,7 +83,7 @@ class EigenSurvivalOperator:
 
     @functools.cached_property
     def c(self):
-        return self.decomp.coords(self.detection)
+        return _as_split(self.decomp, self.detection).c
 
     @functools.cached_property
     def z(self):
@@ -124,7 +125,11 @@ class EigenTriple:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class SurvivalSpectrum:
-    """Complete classified eigensystem of one survival operator."""
+    """Complete classified eigensystem of one survival operator.
+
+    ``alias_groups`` are the charged levels grouped by shared phase (see
+    ``_alias_groups``); their number is w_eff, the count of distinct charges.
+    """
 
     triples: tuple
     counts: tuple
@@ -134,17 +139,10 @@ class SurvivalSpectrum:
     charge_config: object = None
     stationary: object = None
     aliased_level_pairs: tuple = ()
+    alias_groups: tuple = ()
 
     def by_kind(self, kind):
         return [t for t in self.triples if t.kind == kind]
-
-
-def _phase_fix(v):
-    idx = int(np.argmax(np.abs(v)))
-    a = v[idx]
-    if abs(a) == 0:
-        return v
-    return v * (abs(a) / a)
 
 
 def build_survival(U, psi_d, tau=None, source_decomp=None):
@@ -159,97 +157,48 @@ def build_survival(U, psi_d, tau=None, source_decomp=None):
     return SurvivalOperator(s, tau=tau, detection=psi_d, source_decomp=source_decomp)
 
 
-def dark_combination_coeffs(alphas):
-    """Dark combinations of level members with detector overlaps ``alphas``.
-
-    Given m overlaps a_l = <E_l|psi_d>, returns an (m-1, m) array whose row
-    i is the normalized coefficient vector of the (i+1)-th dark state:
-    each row uses the first i+2 members and is orthogonal to the detector
-    weight vector and to all previous rows.  The result depends on the
-    member ordering, which callers fix deterministically.
-    """
-    a = np.asarray(alphas, dtype=complex)
-    m = a.size
-    out = np.zeros((m - 1, m), dtype=complex)
-    for i in range(1, m):
-        row = np.zeros(m, dtype=complex)
-        row[:i] = -np.conj(a[i]) * a[:i]
-        row[i] = np.sum(np.abs(a[:i]) ** 2)
-        out[i - 1] = row / np.linalg.norm(row)
-    return out
-
-
 def phase_aliasing(decomp, tau, tol=ALIAS_TOL):
     """Pairs (k, k') of distinct levels sharing a circle phase at this tau."""
     phases = np.exp(-1j * decomp.energies * tau)
-    pairs = []
-    for i in range(len(phases)):
-        for j in range(i + 1, len(phases)):
-            if abs(phases[i] - phases[j]) < tol:
-                pairs.append((i, j))
-    return tuple(pairs)
+    close = np.triu(np.abs(phases[:, None] - phases[None, :]) < tol, 1)
+    return tuple((int(i), int(j)) for i, j in zip(*np.nonzero(close)))
 
 
 def dark_states(decomp, psi_d, tau, ortho_tol=ORTHOGONALITY_TOL):
     """All unit-circle eigenstates built per level.
 
-    Members orthogonal to the detector are dark as they stand; each level's
-    remaining members are sorted by descending overlap magnitude (ties by
-    index) and fed to the Gram-Schmidt recursion, yielding g_eff - 1 dark
-    combinations.  Each dark state carries xi = exp(-i E_k tau), equal left
-    and right vectors, and its level energy.
+    The vectors are the DetectorSplit's ``darks`` (``psi_d`` may be that
+    split); each dark state carries xi = exp(-i E_k tau), equal left and
+    right vectors, and its level energy.
     """
-    psi = as_vector(psi_d)
-    triples = []
-    for k, lv in enumerate(decomp.levels):
-        xi = complex(np.exp(-1j * lv.energy * tau))
-        a = lv.eigenvectors.conj().T @ psi
-        direct = [l for l in range(lv.degeneracy) if abs(a[l]) < ortho_tol]
-        effective = [l for l in range(lv.degeneracy) if abs(a[l]) >= ortho_tol]
-        for l in direct:
-            v = _phase_fix(lv.eigenvectors[:, l].copy())
-            triples.append(
-                EigenTriple(xi, v, v, KIND_CIRCLE, source_level=k, energy=lv.energy)
-            )
-        if len(effective) > 1:
-            order = sorted(effective, key=lambda l: (-abs(a[l]), l))
-            w = lv.eigenvectors[:, order]
-            coeffs = dark_combination_coeffs(a[order])
-            for row in coeffs:
-                v = _phase_fix(w @ row)
-                v = v / np.linalg.norm(v)
-                triples.append(
-                    EigenTriple(xi, v, v, KIND_CIRCLE, source_level=k, energy=lv.energy)
-                )
-    return triples
+    phases = np.exp(-1j * decomp.energies * tau)
+    return [
+        EigenTriple(complex(phases[k]), v, v, KIND_CIRCLE, source_level=k,
+                    energy=decomp.levels[k].energy)
+        for k, v in _as_split(decomp, psi_d, ortho_tol).darks
+    ]
 
 
-def _cross_level_darks(decomp, psi_d, tau, config):
+def _cross_level_darks(split, config, groups):
     """Extra circle states when distinct bright levels alias in phase.
 
-    Bright states of levels sharing one phase support combinations with
-    zero detector weight; the same recursion applies with alphas sqrt(p).
+    Bright states of levels sharing one phase (the ``groups`` of
+    ``_alias_groups(config)``) support combinations with zero detector
+    weight; the same recursion applies with alphas sqrt(p).
     """
-    psi = as_vector(psi_d)
-    groups = _alias_groups(config)
     triples = []
     for group in groups:
         if len(group) < 2:
             continue
-        brights = []
-        roots_p = []
-        for k in group:
-            lv = decomp.levels[k]
-            amp = lv.eigenvectors.conj().T @ psi
-            p = config.charges[k].p
-            brights.append((lv.eigenvectors @ amp) / math.sqrt(p))
-            roots_p.append(math.sqrt(p))
-        coeffs = dark_combination_coeffs(np.array(roots_p))
+        brights = [split.bright(k) for k in group]
+        coeffs = dark_combination_coeffs(
+            np.array([math.sqrt(config.charges[k].p) for k in group])
+        )
         phase = config.charges[group[0]].phase
         for row in coeffs:
             v = sum(c * b for c, b in zip(row, brights))
             v = _phase_fix(v / np.linalg.norm(v))
-            energy = decomp.mean_energy(v)
+            energy = split.decomp.mean_energy(v)
             triples.append(
                 EigenTriple(phase, v, v, KIND_CIRCLE, source_level=None, energy=energy)
             )
@@ -281,13 +230,17 @@ def _alias_groups(config):
                     group.append(j)
                     used.add(j)
                     changed = True
-        groups.append(sorted(group))
-    return groups
+        groups.append(tuple(sorted(group)))
+    return tuple(groups)
 
 
-def merged_charge_config(config):
-    """Aliased active charges merged into single effective charges."""
-    groups = _alias_groups(config)
+def merged_charge_config(config, groups=None):
+    """Aliased active charges merged into single effective charges.
+
+    ``groups`` is ``_alias_groups(config)``, computed here when not given.
+    """
+    if groups is None:
+        groups = _alias_groups(config)
     if all(len(g) == 1 for g in groups):
         return config
     merged = []
@@ -306,14 +259,8 @@ def merged_charge_config(config):
 
 def bright_states(decomp, psi_d, zero_threshold=ZERO_CHARGE_THRESHOLD):
     """(level index, normalized projected detector) for each charged level."""
-    psi = as_vector(psi_d)
-    out = []
-    for k, lv in enumerate(decomp.levels):
-        amp = lv.eigenvectors.conj().T @ psi
-        p = float(np.real(np.vdot(amp, amp)))
-        if p > zero_threshold:
-            out.append((k, (lv.eigenvectors @ amp) / math.sqrt(p)))
-    return out
+    split = _as_split(decomp, psi_d)
+    return [(int(k), split.bright(k)) for k in np.flatnonzero(split.p > zero_threshold)]
 
 
 def zero_eigenpair(U, psi_d):
@@ -351,11 +298,16 @@ def disk_eigenpairs(decomp, psi_d, tau, roots):
     return triples
 
 
-def full_spectrum(model, psi_d, tau, grouping_tol=None, tie_tol=DEFAULT_TIE_TOL):
+def full_spectrum(model, psi_d, tau, grouping_tol=None, tie_tol=DEFAULT_TIE_TOL,
+                  zero_threshold=ZERO_CHARGE_THRESHOLD):
     """Assemble and classify the complete eigensystem of S.
 
     ``model`` is a HermitianModel, decomposed here with ``grouping_tol``, or
     an existing SpectralDecomposition, which is used as it stands.
+    ``psi_d`` may be a DetectorSplit of that decomposition: a tau sweep
+    then reuses its overlaps, charges and dark vectors, and only the
+    phases, the stationary points and the disk vectors are redone.
+    ``zero_threshold`` is the charge below which a level counts as dark.
     Non-exceptional spectra satisfy the count partition
     dim = 1 + (number of distinct charged phases - 1) + circle states.
     Total coalescence at 0 (and any stationary-point coalescence or loss of
@@ -370,23 +322,25 @@ def full_spectrum(model, psi_d, tau, grouping_tol=None, tie_tol=DEFAULT_TIE_TOL)
         decomp = model
     else:
         decomp = spectral_decompose(model, grouping_tol)
-    s_op = EigenSurvivalOperator(decomp, psi_d, tau)
-    config = compute_charges(decomp, psi_d, tau)
+    split = _as_split(decomp, psi_d)
+    s_op = EigenSurvivalOperator(decomp, split, tau)
+    config = compute_charges(decomp, split, tau, zero_threshold)
     aliased = phase_aliasing(decomp, tau)
+    groups = _alias_groups(config)
 
-    darks = dark_states(decomp, psi_d, tau)
-    darks += _cross_level_darks(decomp, psi_d, tau, config)
-    effective = merged_charge_config(config)
+    darks = dark_states(decomp, split, tau)
+    darks += _cross_level_darks(split, config, groups)
+    effective = merged_charge_config(config, groups)
     sp = stationary_points(effective, tie_tol=tie_tol)
 
     zero_right = _phase_fix(decomp.vectors @ (np.conj(s_op.z) * s_op.c))
-    zero = EigenTriple(0.0 + 0.0j, zero_right, as_vector(psi_d).copy(), KIND_ZERO)
+    zero = EigenTriple(0.0 + 0.0j, zero_right, split.vector.copy(), KIND_ZERO)
     triples = [zero]
     disk_roots = [r for r in sp.roots if abs(r) >= ZERO_CLASS_TOL]
     extra_zero = [r for r in sp.roots if abs(r) < ZERO_CLASS_TOL]
     for r in extra_zero:
         triples.append(EigenTriple(complex(r), zero.right, zero.left, KIND_ZERO))
-    disk = disk_eigenpairs(decomp, psi_d, tau, disk_roots)
+    disk = disk_eigenpairs(decomp, split, tau, disk_roots)
     triples += disk
     triples += darks
 
@@ -398,7 +352,7 @@ def full_spectrum(model, psi_d, tau, grouping_tol=None, tie_tol=DEFAULT_TIE_TOL)
 
     counts = (1 + len(extra_zero), len(disk), len(darks))
     if not exceptional:
-        w_eff = len(_alias_groups(config))
+        w_eff = len(groups)
         expected = (1, w_eff - 1, decomp.dim - 1 - (w_eff - 1))
         if counts != expected:
             raise NumericalFailureError(
@@ -413,6 +367,7 @@ def full_spectrum(model, psi_d, tau, grouping_tol=None, tie_tol=DEFAULT_TIE_TOL)
         charge_config=config,
         stationary=sp,
         aliased_level_pairs=aliased,
+        alias_groups=groups,
     )
 
 

@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 
 import nullsteer as ns
+from nullsteer.charges import ZERO_CHARGE_THRESHOLD
 from nullsteer.cli import run_experiment
-from nullsteer.csvio import read_csv
+from nullsteer.configio import resolve_state
+from nullsteer.csvio import format_value, read_csv
 
-from helpers import disk_pair_residual
+from helpers import disk_pair_residual, expected_partition
 
 SYMMETRIC_START = {"combination": [{"weight": 1.0, "site": "(2,1)"},
                                    {"weight": 1.0, "site": "(2,2)"}]}
@@ -41,11 +43,12 @@ def _write(tmp_path, payload):
 
 
 def _count_calls(monkeypatch, original):
-    """Count calls of a module-level function under every nullsteer alias."""
+    """Record the (args, kwargs) of every call of a module-level function,
+    under every nullsteer alias."""
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append((args, kwargs))
         return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -202,6 +205,91 @@ def test_sweep_decomposes_once(tmp_path, monkeypatch):
                    str(tmp_path / "out"))
     assert len(decompose) == 1
     assert not propagate and not rebuild_h
+
+
+def test_sweep_solves_each_tau_once_and_builds_darks_once(tmp_path, monkeypatch):
+    solve = _count_calls(monkeypatch, ns.stationary_points)
+    classify = _count_calls(monkeypatch, ns.classify_regime)
+    tau = {"start": 0.3, "stop": 2.9, "steps": 60}
+    run_experiment(_write(tmp_path, _tree_payload(4, tau, "sweep-tau")),
+                   str(tmp_path / "out"))
+    assert len(solve) == 60
+    spectra = [args[0] for args, _ in classify]
+    assert len(spectra) == 60
+
+    def level_darks(spectrum):
+        return [t.right for t in spectrum.by_kind("circle") if t.source_level is not None]
+
+    # The per-level dark vectors are the run's own arrays, not rebuilt per tau.
+    first = level_darks(spectra[0])
+    assert first
+    for spectrum in spectra[1:]:
+        darks = level_darks(spectrum)
+        assert len(darks) == len(first)
+        assert all(a is b for a, b in zip(darks, first))
+
+
+def test_sweep_rows_match_fresh_spectra(tmp_path):
+    # The tau range of the benchmark's tau-sweep job 0 at seed 3.
+    start, stop = 0.23425966685744976, 2.4710701734535494
+    payload = _tree_payload(5, {"start": start, "stop": stop, "steps": 60}, "sweep-tau")
+    out = tmp_path / "out"
+    run_experiment(_write(tmp_path, payload), str(out))
+    _, rows = read_csv(out / "sweep.csv")
+    model = ns.build_glued_tree(5)
+    decomp = ns.spectral_decompose(model)
+    psi_d = ns.site_state(model, "(1,1)")
+    psi_in = resolve_state(SYMMETRIC_START, model, decomp)
+    taus = np.linspace(start, stop, 60)
+    assert len(rows) == len(taus)
+    for row, tau in zip(rows, taus):
+        tau = float(tau)
+        spectrum = ns.full_spectrum(model, psi_d, tau)
+        roots = spectrum.stationary.roots
+        mods = sorted((abs(r) for r in roots), reverse=True)
+        merged = ns.merged_charge_config(spectrum.charge_config)
+        try:
+            bound = ns.zeno_bound(decomp, tau)[0]
+        except ns.BoundNotApplicableError:
+            bound = float("nan")
+        assert row[0] == format_value(tau)
+        assert row[5] == format_value(model.dim - len(merged.active()))
+        assert row[6] == format_value(bound)
+        assert row[7] == ns.classify_regime(spectrum, psi_in).kind
+        got = [float(v) for v in row[1:5]]
+        want = [roots[0].real, roots[0].imag, mods[0], mods[1]]
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-14
+
+
+def test_split_circle_states_solve_dense_s(tree):
+    model, decomp, psi_d = tree
+    split = ns.DetectorSplit(decomp, psi_d)
+    e = decomp.energies
+    aliased = 2.0 * math.pi / (e[10] - e[4])  # two pairs of bright levels alias
+    for tau in (1.1, aliased, 2.3):
+        spectrum = ns.full_spectrum(decomp, split, tau)
+        s = ns.build_survival(ns.propagator(decomp, tau), psi_d).matrix
+        circle = spectrum.by_kind("circle")
+        for t in circle:
+            assert np.linalg.norm(s @ t.right - t.xi * t.right) <= 1e-12
+            assert np.linalg.norm(t.left.conj() @ s - t.xi * t.left.conj()) <= 1e-12
+        assert spectrum.counts == expected_partition(model, psi_d, tau)
+        cross = [t for t in circle if t.source_level is None]
+        assert len(cross) == (2 if tau == aliased else 0)
+
+
+def test_configured_zero_threshold_reaches_every_charge_call(tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch, ns.charges)
+    threshold = 1e-11
+    assert threshold != ZERO_CHARGE_THRESHOLD
+    for experiment, tau in (("spectrum", 1.3), ("regime", 1.3),
+                            ("sweep-tau", {"start": 0.5, "stop": 2.5, "steps": 4})):
+        payload = _tree_payload(4, tau, experiment, tolerances={"zero_threshold": threshold})
+        calls.clear()
+        run_experiment(_write(tmp_path, payload), str(tmp_path / experiment))
+        seen = [kw.get("zero_threshold", args[3] if len(args) > 3 else ZERO_CHARGE_THRESHOLD)
+                for args, kw in calls]
+        assert seen and all(t == threshold for t in seen), (experiment, seen)
 
 
 def test_regime_and_evolve_build_no_dense_operator(tmp_path, monkeypatch):
