@@ -1,11 +1,14 @@
 """Electrostatic charge picture of the survival operator.
 
 Each distinct level k carries a charge p_k = <psi_d|P_k|psi_d> sitting at
-the unit-circle phase exp(-i E_k tau).  The nontrivial eigenvalues of the
-survival operator are the stationary points of the 2-D field
-F(xi) = sum_k p_k / (xi - exp(-i E_k tau)), i.e. roots of its numerator
-polynomial.  Only the phases depend on tau: a ``DetectorSplit`` holds the
-rest (detector overlaps, charges, dark vectors) for every tau.
+the unit-circle phase z_k = exp(-i E_k tau).  The nontrivial eigenvalues of
+the survival operator are the stationary points of the 2-D field
+F(xi) = sum_k p_k / (xi - z_k).  They are found as the eigenvalues of S on
+the bright subspace, the w x w matrix (I - b b^T) diag(z) with b = sqrt(p);
+roots at xi = 0 are counted from the charge moments and reported exact,
+and every other root gets a few Newton steps on F, all roots at once.
+Only the phases depend on tau: a ``DetectorSplit`` holds the rest
+(detector overlaps, charges, dark vectors) for every tau.
 """
 
 from __future__ import annotations
@@ -36,11 +39,10 @@ DEFAULT_TIE_TOL = 1e-6
 #: Two stationary points closer than this are reported as coalesced.
 COALESCENCE_TOL = 1e-8
 
-#: Trailing polynomial coefficients below this relative size are deflated
-#: into exact zero roots (keeps defective configurations at xi = 0 exact).
+#: Leading charge moments sum_k p_k conj(z_k)^j below this count as zero,
+#: each one an exact stationary point at xi = 0 (keeps defective
+#: configurations at xi = 0 exact).
 DEFLATION_REL_TOL = 1e-13
-
-_NEWTON_MAX_ITER = 80
 
 
 @dataclasses.dataclass(frozen=True)
@@ -57,7 +59,7 @@ class ChargeConfiguration:
     """All level charges at a fixed sampling time tau.
 
     Zero charges are kept (they mark fully dark levels) but are skipped by
-    the field and the stationary-point polynomial.
+    the field and the stationary points.
     """
 
     tau: float
@@ -83,7 +85,7 @@ class ChargeConfiguration:
 
 @dataclasses.dataclass(frozen=True)
 class StationaryPoints:
-    """Roots of the field numerator: the disk eigenvalues.
+    """Stationary points of the charge field: the disk eigenvalues.
 
     ``roots`` run by descending modulus; roots whose moduli agree to
     COALESCENCE_TOL (a conjugate pair) run by descending imaginary part,
@@ -218,60 +220,29 @@ def charges(decomp, psi_d, tau, zero_threshold=ZERO_CHARGE_THRESHOLD):
     return config_from_levels(decomp.energies, p, tau, zero_threshold)
 
 
+def _active_arrays(config):
+    """Weights p and phases z of the active charges, as arrays."""
+    active = config.active()
+    p = np.array([c.p for c in active], dtype=float)
+    return p, np.array([c.phase for c in active], dtype=complex)
+
+
+def _field_terms(p, z, xi):
+    """F and F' at every point of the array ``xi``."""
+    inv = 1.0 / (np.asarray(xi, dtype=complex)[:, None] - z)
+    return inv @ p, -(inv * inv) @ p
+
+
 def field(config, xi):
     """F(xi) = sum over nonzero charges of p_k / (xi - phase_k)."""
+    p, z = _active_arrays(config)
     xi = complex(xi)
-    total = 0.0 + 0.0j
-    for c in config.active():
-        dz = xi - c.phase
-        if abs(dz) < 1e-12:
-            raise PoleError(
-                f"field evaluated within 1e-12 of the charge at phase {c.phase:.6g}"
-            )
-        total += c.p / dz
-    return total
-
-
-def _field_and_derivative(active, xi):
-    f = 0.0 + 0.0j
-    fp = 0.0 + 0.0j
-    for c in active:
-        dz = xi - c.phase
-        if abs(dz) < 1e-300:
-            return None, None
-        inv = 1.0 / dz
-        f += c.p * inv
-        fp -= c.p * inv * inv
-    return f, fp
-
-
-def _numerator_coefficients(active):
-    # N(xi) = sum_k p_k prod_{j != k} (xi - phase_j), highest degree first.
-    phases = [c.phase for c in active]
-    coeffs = np.zeros(len(active), dtype=complex)
-    for k, c in enumerate(active):
-        others = phases[:k] + phases[k + 1 :]
-        coeffs += c.p * np.poly(others)
-    return coeffs
-
-
-def _polish(active, xi):
-    best = xi
-    f, _ = _field_and_derivative(active, best)
-    best_res = abs(f) if f is not None else math.inf
-    x = xi
-    for _ in range(_NEWTON_MAX_ITER):
-        f, fp = _field_and_derivative(active, x)
-        if f is None or fp == 0:
-            break
-        step = f / fp
-        x = x - step
-        f2, _ = _field_and_derivative(active, x)
-        if f2 is not None and abs(f2) < best_res:
-            best, best_res = x, abs(f2)
-        if abs(step) < 1e-16 * max(1.0, abs(x)):
-            break
-    return best, best_res
+    near = np.flatnonzero(np.abs(xi - z) < 1e-12)
+    if near.size:
+        raise PoleError(
+            f"field evaluated within 1e-12 of the charge at phase {z[near[0]]:.6g}"
+        )
+    return complex(_field_terms(p, z, [xi])[0][0])
 
 
 def _by_descending_modulus(polished):
@@ -293,42 +264,56 @@ def _by_descending_modulus(polished):
     return ordered
 
 
+def _refine_roots(p, z, xis):
+    """Three Newton steps on F for every root at once.
+
+    Each root keeps its iterate of least |F|; a root on a charge (aliased
+    phases left unmerged) keeps its place with residual inf.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f, fp = _field_terms(p, z, xis)
+        best, res = xis, np.nan_to_num(np.abs(f), nan=math.inf)
+        x = xis
+        for _ in range(3):
+            x = x - f / fp
+            f, fp = _field_terms(p, z, x)
+            better = np.abs(f) < res  # false for nan
+            best, res = np.where(better, x, best), np.where(better, np.abs(f), res)
+    return best, res
+
+
 def stationary_points(config, tie_tol=DEFAULT_TIE_TOL):
     """All stationary points of the charge field, polished to full precision.
 
-    Root finding uses the companion matrix of the numerator polynomial with
-    Newton polishing on F itself.  Trailing coefficients that vanish to
-    machine precision are deflated into exact zero roots first, so defective
-    configurations report xi = 0 exactly rather than a 1e-8 cloud.
+    On the bright subspace, spanned by the normalized level projections of
+    the detector, S is the w x w matrix S_B = (I - b b^T) diag(z) with
+    b = sqrt(p) and z the charge phases.  Its eigenvalues are xi = 0, whose
+    right vector is conj(z) b, and the w - 1 stationary points.  The
+    stationary points at xi = 0, counted from the vanishing charge moments,
+    are reported as exact zeros rather than the 1e-8 cloud an eigensolver
+    gives for a defective matrix; the others get a few Newton steps on F.
     """
-    active = config.active()
-    if not active:
+    p, z = _active_arrays(config)
+    if not p.size:
         raise NoBrightSubspaceError(
             "all charges are zero: the detection state is fully dark"
         )
-    coeffs = _numerator_coefficients(active)
-    scale = max(1.0, float(np.max(np.abs(coeffs))))
-    zero_roots = 0
-    while len(coeffs) > 1 and abs(coeffs[-1]) <= DEFLATION_REL_TOL * scale:
-        coeffs = coeffs[:-1]
-        zero_roots += 1
-    raw = list(np.roots(coeffs)) if len(coeffs) > 1 else []
+    b = np.sqrt(p / p.sum())
+    eig = np.linalg.eigvals((np.eye(p.size) - np.outer(b, b)) * z)
+    # Near 0, F(xi) = -sum_j M_{j+1} xi^j with the moments
+    # M_j = sum_k p_k conj(z_k)^j: xi = 0 is a root as many times as the
+    # leading moments M_1, M_2, ... vanish.
+    moments = p @ np.vander(np.conj(z), p.size, increasing=True)[:, 1:]
+    zeros = int(np.cumprod(np.abs(moments) <= DEFLATION_REL_TOL).sum())
+    xis, res = _refine_roots(p, z, eig[np.argsort(np.abs(eig))[1 + zeros:]])
+    xis = np.append(xis, np.zeros(zeros))
+    res = np.append(res, np.abs(_field_terms(p, z, np.zeros(zeros))[0]))
 
-    polished = []
-    for r in raw:
-        root, res = _polish(active, complex(r))
-        polished.append((root, res))
-    for _ in range(zero_roots):
-        f, _ = _field_and_derivative(active, 0.0 + 0.0j)
-        polished.append((0.0 + 0.0j, abs(f) if f is not None else math.inf))
-
-    polished = _by_descending_modulus(polished)
-    roots = tuple(p[0] for p in polished)
-    residuals = tuple(p[1] for p in polished)
+    polished = _by_descending_modulus(list(zip(xis.tolist(), res.tolist())))
+    roots = tuple(r for r, _ in polished)
+    residuals = tuple(e for _, e in polished)
     max_abs = max((abs(r) for r in roots), default=0.0)
     argmax = tuple(i for i, r in enumerate(roots) if max_abs - abs(r) <= tie_tol)
-    if not roots:
-        argmax = ()
     return StationaryPoints(roots, residuals, max_abs, argmax)
 
 
@@ -358,13 +343,9 @@ def zeno_bound(decomp, tau):
 
 def _coalesced_points(roots):
     """Each of ``roots`` and xi = 0 within COALESCENCE_TOL of a later one."""
-    pts = list(roots) + [0.0 + 0.0j]
-    coalesced = []
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if abs(pts[i] - pts[j]) < COALESCENCE_TOL:
-                coalesced.append(pts[i])
-    return coalesced
+    pts = np.append(np.asarray(roots, dtype=complex), 0j)
+    close = np.triu(np.abs(pts[:, None] - pts) < COALESCENCE_TOL, 1)
+    return [complex(pts[i]) for i in np.nonzero(close)[0]]
 
 
 def detect_exceptional(config, spectrum_hint=None):

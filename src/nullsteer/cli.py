@@ -12,6 +12,7 @@ detection (null conditioning impossible, reported with the step index),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -73,12 +74,13 @@ class _Runtime:
         self.psi_d = resolve_detection(config, self.model, self.decomp)
         self.split = DetectorSplit(self.decomp, self.psi_d)
 
-    def initial_state(self, tau):
+    @functools.cached_property
+    def initial_state(self):
+        # Resolved once per run: the state is the same at every tau.
         if self.config.initial_state is None:
             return None
-        return resolve_state(
-            self.config.initial_state, self.model, self.decomp, self.psi_d, tau
-        )
+        return resolve_state(self.config.initial_state, self.model, self.decomp,
+                             self.psi_d, self.config.tau_values[0])
 
     def spectrum(self, tau):
         return full_spectrum(
@@ -151,7 +153,7 @@ def _run_charges(rt, out_dir):
 
 def _run_evolve(rt, out_dir, dump_states):
     tau = rt.config.tau_values[0]
-    psi_in = rt.initial_state(tau)
+    psi_in = rt.initial_state
     if psi_in is None:
         raise ConfigError("experiment 'evolve' requires an initial_state")
     S = EigenSurvivalOperator(rt.decomp, rt.split, tau)
@@ -188,7 +190,7 @@ def _run_evolve(rt, out_dir, dump_states):
 
 def _regime_summary(rt, tau):
     spectrum = rt.spectrum(tau)
-    psi_in = rt.initial_state(tau)
+    psi_in = rt.initial_state
     regime = classify_regime(
         spectrum, psi_in, tie_tol=rt.tie_tol, dark_overlap_tol=rt.dark_overlap_tol
     )
@@ -263,7 +265,7 @@ def _run_sweep_tau(rt, out_dir):
             spectrum = rt.spectrum(tau)
             sp, w_eff = spectrum.stationary, len(spectrum.alias_groups)
             kind = classify_regime(
-                spectrum, rt.initial_state(tau), tie_tol=rt.tie_tol,
+                spectrum, rt.initial_state, tie_tol=rt.tie_tol,
                 dark_overlap_tol=rt.dark_overlap_tol,
             ).kind
         mods = sorted((abs(r) for r in sp.roots), reverse=True)

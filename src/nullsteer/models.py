@@ -133,12 +133,14 @@ def as_vector(psi):
 
 
 def _phase_fix(v):
-    """``v`` times the phase that makes its largest component real positive."""
-    idx = int(np.argmax(np.abs(v)))
-    a = v[idx]
-    if abs(a) == 0:
-        return v
-    return v * (abs(a) / a)
+    """``v`` times the phase that makes its largest component real positive.
+
+    A 2-D ``v`` is fixed column by column.
+    """
+    idx = np.argmax(np.abs(v), axis=0)
+    a = v[idx, np.arange(v.shape[1])] if v.ndim == 2 else v[idx]
+    a = np.where(a == 0, 1.0, a)
+    return v * (np.abs(a) / a)
 
 
 def _require_finite(**params):

@@ -1,11 +1,12 @@
 """The survival operator S = (1 - |psi_d><psi_d|) U(tau) and its eigensystem.
 
-The spectrum is assembled analytically rather than by a general
-non-Hermitian eigensolver: one eigenvalue is always 0 (right vector
-U^-1 psi_d), unit-circle eigenvalues come from dark states (level members
-orthogonal to the detector, completed by a Gram-Schmidt recursion inside
-degenerate levels), and the remaining eigenvalues are the charge-field
-stationary points with resolvent-formula eigenvectors.
+The spectrum is assembled analytically; no dim x dim non-Hermitian matrix
+is diagonalized: one eigenvalue is always 0 (right vector U^-1 psi_d),
+unit-circle eigenvalues come from dark states (level members orthogonal to
+the detector, completed by a Gram-Schmidt recursion inside degenerate
+levels), and the remaining eigenvalues are the charge-field stationary
+points (eigenvalues of the w x w bright-space block of S) with
+resolvent-formula eigenvectors.
 
 All of it works in the eigen-coordinates of H, where U(tau) is the vector
 z = exp(-i e tau) and S is diagonal plus rank one.  The dense
@@ -282,20 +283,20 @@ def disk_eigenpairs(decomp, psi_d, tau, roots):
     s = EigenSurvivalOperator(decomp, psi_d, tau)
     c, z = s.c, s.z
     xis = np.array([complex(xi) for xi in roots], dtype=complex)
-    for xi in xis:
-        if np.min(np.abs(xi - z)) < 1e-10:
-            raise RootTooCloseError(
-                f"root {xi:.6g} is within 1e-10 of a unit-circle phase"
-            )
+    close = np.min(np.abs(xis[:, None] - z), axis=1) < 1e-10
+    if close.any():
+        raise RootTooCloseError(
+            f"root {xis[close][0]:.6g} is within 1e-10 of a unit-circle phase"
+        )
     zc = np.conj(z)[:, None]
     rights = decomp.vectors @ (c[:, None] / (xis - z[:, None]))
     lefts = decomp.vectors @ (zc * c[:, None] / (np.conj(xis) - zc))
-    triples = []
-    for xi, right, left in zip(xis, rights.T, lefts.T):
-        right = _phase_fix(right / np.linalg.norm(right))
-        left = _phase_fix(left / np.linalg.norm(left))
-        triples.append(EigenTriple(complex(xi), right, left, KIND_DISK))
-    return triples
+    rights = _phase_fix(rights / np.linalg.norm(rights, axis=0))
+    lefts = _phase_fix(lefts / np.linalg.norm(lefts, axis=0))
+    return [
+        EigenTriple(complex(xi), right, left, KIND_DISK)
+        for xi, right, left in zip(xis, rights.T, lefts.T)
+    ]
 
 
 def full_spectrum(model, psi_d, tau, grouping_tol=None, tie_tol=DEFAULT_TIE_TOL,
@@ -336,6 +337,11 @@ def full_spectrum(model, psi_d, tau, grouping_tol=None, tie_tol=DEFAULT_TIE_TOL,
     zero_right = _phase_fix(decomp.vectors @ (np.conj(s_op.z) * s_op.c))
     zero = EigenTriple(0.0 + 0.0j, zero_right, split.vector.copy(), KIND_ZERO)
     triples = [zero]
+    if sp.max_abs >= 1.0:
+        raise NumericalFailureError(
+            f"stationary point |xi| = {sp.max_abs:.6g} is not strictly inside "
+            "the unit disk"
+        )
     disk_roots = [r for r in sp.roots if abs(r) >= ZERO_CLASS_TOL]
     extra_zero = [r for r in sp.roots if abs(r) < ZERO_CLASS_TOL]
     for r in extra_zero:

@@ -1,10 +1,12 @@
 """Oracles and generators shared across the test suite.
 
-The dense non-symmetric eigensolver lives here and only here.  Production
-code never calls numpy.linalg.eig, so comparing against it is an
-independent check, not a tautology.
+The dense non-symmetric eigensolver of the full dim x dim S lives here and
+only here.  Production code diagonalizes only the w x w bright-space block
+of S, so comparing against the full matrix is an independent check, not a
+tautology.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -131,3 +133,14 @@ def expected_partition(model, psi, tau, phase_tol=1e-10, zero_threshold=1e-12):
             merged.append(c.phase)
     w_c = len(merged)
     return (1, w_c - 1, model.dim - w_c)
+
+
+def with_root_outside_disk(monkeypatch):
+    """Make full_spectrum's stationary points put one root at |xi| = 1.5."""
+    solve = ns.survival.stationary_points
+
+    def outside(*args, **kwargs):
+        sp = solve(*args, **kwargs)
+        return dataclasses.replace(sp, roots=(1.5 + 0j,) + sp.roots[1:], max_abs=1.5)
+
+    monkeypatch.setattr(ns.survival, "stationary_points", outside)

@@ -224,3 +224,59 @@ def test_stationary_point_properties(cfg):
         assert res < 1e-8
     mods = [abs(r) for r in sp.roots]
     assert abs(sp.max_abs - max(mods)) < 1e-15
+
+
+def _wide_charges(w, seed, levels):
+    """Seeded charges of a random model, phases over about 90% of the circle.
+
+    Levels are GOE eigenvalues (repelling) or uniform ones (Poisson, so some
+    pairs of charges nearly touch); the detector is a random complex vector.
+    """
+    rng = np.random.default_rng([seed, w])
+    if levels == "goe":
+        a = rng.normal(size=(w, w))
+        energies = np.linalg.eigvalsh((a + a.T) / math.sqrt(2.0 * w))
+    else:
+        energies = np.sort(rng.uniform(-2.0, 2.0, size=w))
+    c = rng.normal(size=w) + 1j * rng.normal(size=w)
+    p = np.abs(c) ** 2 / np.sum(np.abs(c) ** 2)
+    tau = float(rng.uniform(0.85, 0.95)) * 2.0 * math.pi / float(np.ptp(energies))
+    return ns.config_from_levels(energies, p, tau)
+
+
+@pytest.mark.parametrize("levels", ["goe", "poisson"])
+@pytest.mark.parametrize("w", [20, 70, 200])
+def test_wide_charge_roots_stay_in_the_hull(w, levels):
+    for seed in range(3):
+        cfg = _wide_charges(w, seed, levels)
+        roots = np.array(ns.stationary_points(cfg).roots)
+        assert roots.size == w - 1
+        assert np.all(np.abs(roots) < 1.0)
+        # F(xi) = 0 makes xi a positive combination of the phases, so every
+        # root lies left of each counterclockwise edge of their hull.
+        phases = np.array(sorted((c.phase for c in cfg.active()), key=np.angle))
+        edges = np.roll(phases, -1) - phases
+        side = (edges.conj() * (roots[:, None] - phases)).imag
+        assert side.min() > -1e-14
+        # A root right next to a weak charge has |F'| up to 1e10, so |F| is
+        # allowed what a 1e-14 error in the root's position explains.
+        p = np.array([c.p for c in cfg.active()])
+        inv = 1.0 / (roots[:, None] - np.array([c.phase for c in cfg.active()]))
+        f, fp = inv @ p, (inv * inv) @ p
+        assert np.all(np.abs(f) < 1e-8 + 1e-14 * np.abs(fp))
+
+
+def test_wide_charge_disk_roots_match_dense_s():
+    """w = 70 disk roots against eigvals of the dense S, not of S_B."""
+    rng = np.random.default_rng(70)
+    a = rng.normal(size=(70, 70))
+    model = ns.build_custom((a + a.T) / math.sqrt(140.0))
+    decomp = ns.spectral_decompose(model)
+    psi_d = rng.normal(size=70)
+    psi_d = psi_d / np.linalg.norm(psi_d)
+    tau = 0.9 * 2.0 * math.pi / ns.energy_spread(decomp)
+    spectrum = ns.full_spectrum(decomp, psi_d, tau)
+    assert spectrum.counts == (1, 69, 0)
+    dense = dense_eigenvalues(ns.build_survival(ns.propagator(decomp, tau), psi_d).matrix)
+    dense = dense[np.argsort(np.abs(dense))[1:]]  # drop xi = 0
+    assert match_eigenvalues([t.xi for t in spectrum.by_kind("disk")], dense) < 1e-8

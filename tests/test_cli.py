@@ -14,6 +14,8 @@ from nullsteer.cli import main, run_experiment
 from nullsteer.configio import parse_config, resolve_state
 from nullsteer.csvio import read_csv
 
+from helpers import with_root_outside_disk
+
 
 def _write(tmp_path, payload, name="config.json"):
     path = tmp_path / name
@@ -453,6 +455,13 @@ def test_main_numerical_failure_is_exit_4(tmp_path, capsys):
         experiment="charges", tolerances={"zero_threshold": 2.0}))
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_main_root_outside_the_disk_is_exit_4(tmp_path, capsys, monkeypatch):
+    with_root_outside_disk(monkeypatch)
+    cfg = _write(tmp_path, _chain_payload())
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    assert "not strictly inside the unit disk" in capsys.readouterr().err
 
 
 def test_custom_model_roundtrip(tmp_path):

@@ -229,6 +229,15 @@ def test_sweep_solves_each_tau_once_and_builds_darks_once(tmp_path, monkeypatch)
         assert all(a is b for a, b in zip(darks, first))
 
 
+def test_sweep_resolves_the_initial_state_once(tmp_path, monkeypatch):
+    resolve = _count_calls(monkeypatch, resolve_state)
+    tau = {"start": 0.3, "stop": 2.9, "steps": 60}
+    run_experiment(_write(tmp_path, _tree_payload(4, tau, "sweep-tau")),
+                   str(tmp_path / "out"))
+    # the detector, then the initial state's combination and its two sites
+    assert len(resolve) == 4
+
+
 def test_sweep_rows_match_fresh_spectra(tmp_path):
     # The tau range of the benchmark's tau-sweep job 0 at seed 3.
     start, stop = 0.23425966685744976, 2.4710701734535494

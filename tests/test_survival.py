@@ -8,6 +8,7 @@ import nullsteer as ns
 from nullsteer import (
     ExceptionalSpectrumError,
     InvalidParameterError,
+    NumericalFailureError,
     RootTooCloseError,
 )
 
@@ -17,6 +18,7 @@ from helpers import (
     match_eigenvalues,
     random_model,
     random_unitary,
+    with_root_outside_disk,
 )
 
 
@@ -77,11 +79,34 @@ def test_disk_eigenpairs_solve_s(chain, tree):
                 assert lead.imag < 1e-10 and lead.real > 0
 
 
+def test_disk_eigenpairs_match_one_root_at_a_time(tree):
+    # Reference: each root's resolvent vectors normalized and phase-fixed alone.
+    _, decomp, psi_d = tree
+    c = decomp.coords(psi_d)
+    for tau in (0.7, 1.25, 2.1):
+        roots = [r for r in ns.full_spectrum(decomp, psi_d, tau).stationary.roots if r]
+        z = np.exp(-1j * decomp.column_energies * tau)
+        for t, xi in zip(ns.disk_eigenpairs(decomp, psi_d, tau, roots), roots):
+            for got, coef in ((t.right, c / (xi - z)),
+                              (t.left, np.conj(z) * c / (np.conj(xi) - np.conj(z)))):
+                v = decomp.vectors @ coef
+                v = v / np.linalg.norm(v)
+                lead = v[int(np.argmax(np.abs(v)))]
+                np.testing.assert_allclose(got, v * (abs(lead) / lead), atol=1e-14, rtol=0)
+
+
 def test_disk_eigenpairs_reject_circle_roots(chain):
     _, decomp, psi_d = chain
     phase = complex(np.exp(-1j * decomp.energies[0] * 2.0))
     with pytest.raises(RootTooCloseError):
         ns.disk_eigenpairs(decomp, psi_d, 2.0, [phase])
+
+
+def test_full_spectrum_refuses_roots_outside_the_disk(chain, monkeypatch):
+    _, decomp, psi_d = chain
+    with_root_outside_disk(monkeypatch)
+    with pytest.raises(NumericalFailureError, match=r"\|xi\| = 1\.5"):
+        ns.full_spectrum(decomp, psi_d, 2.0)
 
 
 def test_dark_combination_coeffs_printed_example():
