@@ -91,6 +91,12 @@ class StationaryPoints:
     COALESCENCE_TOL (a conjugate pair) run by descending imaginary part,
     then real part.  ``argmax_set`` indexes every root whose modulus ties
     the maximum within the tie tolerance used to compute it.
+
+    ``residuals[i]`` is the Newton step |F/F'| at ``roots[i]``, i.e. the
+    root's position error: near a weak charge |F'| is huge, so |F| itself
+    can be far from 0 at a root exact to working precision.  A root counted
+    at xi = 0 from the vanishing moments reports |F(0)| instead, and a root
+    on a charge, or within its own Newton step of one, reports inf.
     """
 
     roots: tuple
@@ -267,19 +273,25 @@ def _by_descending_modulus(polished):
 def _refine_roots(p, z, xis):
     """Three Newton steps on F for every root at once.
 
-    Each root keeps its iterate of least |F|; a root on a charge (aliased
-    phases left unmerged) keeps its place with residual inf.
+    Each root keeps its iterate of least |F| and reports the Newton step
+    |F/F'| there as its residual.  A root whose step is not small against
+    its distance to the nearest charge is that charge (aliased phases left
+    unmerged), not a root: next to a pole |F/F'| is the distance to it.
+    Such a root keeps its place with residual inf.
     """
+    best = x = xis
+    least = step = np.full(xis.shape, math.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
-        f, fp = _field_terms(p, z, xis)
-        best, res = xis, np.nan_to_num(np.abs(f), nan=math.inf)
-        x = xis
-        for _ in range(3):
-            x = x - f / fp
+        for _ in range(4):
             f, fp = _field_terms(p, z, x)
-            better = np.abs(f) < res  # false for nan
-            best, res = np.where(better, x, best), np.where(better, np.abs(f), res)
-    return best, res
+            dx = f / fp
+            better = np.abs(f) < least  # false for nan
+            best = np.where(better, x, best)
+            least = np.where(better, np.abs(f), least)
+            step = np.where(better, np.abs(dx), step)
+            x = x - dx
+    gap = np.abs(best[:, None] - z).min(axis=1)
+    return best, np.where(step < 0.5 * gap, step, math.inf)  # false for nan
 
 
 def stationary_points(config, tie_tol=DEFAULT_TIE_TOL):

@@ -29,7 +29,13 @@ from .charges import (
     stationary_points,
     zeno_bound,
 )
-from .configio import build_model, load_config, resolve_detection, resolve_state
+from .configio import (
+    build_model,
+    load_config,
+    parse_config,
+    resolve_detection,
+    resolve_state,
+)
 from .csvio import write_csv
 from .errors import (
     BoundNotApplicableError,
@@ -45,7 +51,7 @@ from .evolution import (
     evolve,
 )
 from .figures import FIGURES
-from .models import spectral_decompose
+from .models import site_state, spectral_decompose
 from .perturbation import (
     triple_charge_estimate,
     two_merge_estimate,
@@ -53,6 +59,7 @@ from .perturbation import (
     zeno_time_estimate,
 )
 from .survival import EigenSurvivalOperator, full_spectrum, merged_charge_config
+from .svgplot import SvgFigure
 
 
 class _Runtime:
@@ -252,58 +259,51 @@ def _run_regime(rt, out_dir):
     return [path]
 
 
-def _run_sweep_tau(rt, out_dir):
-    def worker(tau):
-        # With an initial state, the spectrum the regime needs also holds
-        # the roots and the charge groups, so they are not solved twice.
-        kind = ""
-        if rt.config.initial_state is None:
-            merged = merged_charge_config(rt.charge_config(tau))
-            sp = stationary_points(merged, tie_tol=rt.tie_tol)
-            w_eff = len(merged.active())
-        else:
-            spectrum = rt.spectrum(tau)
-            sp, w_eff = spectrum.stationary, len(spectrum.alias_groups)
-            kind = classify_regime(
-                spectrum, rt.initial_state, tie_tol=rt.tie_tol,
-                dark_overlap_tol=rt.dark_overlap_tol,
-            ).kind
-        mods = sorted((abs(r) for r in sp.roots), reverse=True)
-        top = mods[0] if mods else float("nan")
-        second = mods[1] if len(mods) > 1 else float("nan")
-        lead = sp.roots[0] if sp.roots else 0j
-        n_circle = rt.model.dim - w_eff
-        try:
-            bound = zeno_bound(rt.decomp, tau)[0]
-        except BoundNotApplicableError:
-            bound = float("nan")
-        return (
-            tau,
-            float(lead.real),
-            float(lead.imag),
-            top,
-            second,
-            n_circle,
-            bound,
-            kind,
-        )
+_SWEEP_HEADER = ("tau", "re_xi_1", "im_xi_1", "abs_xi_1", "abs_xi_2", "n_circle",
+                 "zeno_lower_bound", "regime")
 
-    rows = [worker(tau) for tau in rt.config.tau_values]
-    path = os.path.join(out_dir, "sweep.csv")
-    write_csv(
-        path,
-        (
-            "tau",
-            "re_xi_1",
-            "im_xi_1",
-            "abs_xi_1",
-            "abs_xi_2",
-            "n_circle",
-            "zeno_lower_bound",
-            "regime",
-        ),
-        rows,
+
+def _sweep_row(rt, tau):
+    """One `sweep.csv` row, in _SWEEP_HEADER order."""
+    # With an initial state, the spectrum the regime needs also holds
+    # the roots and the charge groups, so they are not solved twice.
+    kind = ""
+    if rt.config.initial_state is None:
+        merged = merged_charge_config(rt.charge_config(tau))
+        sp = stationary_points(merged, tie_tol=rt.tie_tol)
+        w_eff = len(merged.active())
+    else:
+        spectrum = rt.spectrum(tau)
+        sp, w_eff = spectrum.stationary, len(spectrum.alias_groups)
+        kind = classify_regime(
+            spectrum, rt.initial_state, tie_tol=rt.tie_tol,
+            dark_overlap_tol=rt.dark_overlap_tol,
+        ).kind
+    mods = sorted((abs(r) for r in sp.roots), reverse=True)
+    top = mods[0] if mods else float("nan")
+    second = mods[1] if len(mods) > 1 else float("nan")
+    lead = sp.roots[0] if sp.roots else 0j
+    n_circle = rt.model.dim - w_eff
+    try:
+        bound = zeno_bound(rt.decomp, tau)[0]
+    except BoundNotApplicableError:
+        bound = float("nan")
+    return (
+        tau,
+        float(lead.real),
+        float(lead.imag),
+        top,
+        second,
+        n_circle,
+        bound,
+        kind,
     )
+
+
+def _run_sweep_tau(rt, out_dir):
+    rows = [_sweep_row(rt, tau) for tau in rt.config.tau_values]
+    path = os.path.join(out_dir, "sweep.csv")
+    write_csv(path, _SWEEP_HEADER, rows)
     return [path]
 
 
@@ -376,6 +376,14 @@ def _run_perturb(rt, out_dir):
     return [path]
 
 
+def _versions():
+    return {
+        "nullsteer": __version__,
+        "numpy": np.__version__,
+        "python": ".".join(map(str, sys.version_info[:3])),
+    }
+
+
 def _write_manifest(out_dir, payload):
     path = os.path.join(out_dir, "run_manifest.json")
     with open(path, "w", newline="") as fh:
@@ -414,11 +422,7 @@ def run_experiment(config_path, out_dir, dump_states=False, tie_tol=None,
         "n_steps": config.n_steps,
         "dump_states": bool(dump_states),
         "tolerances": rt.resolved_tolerances(),
-        "versions": {
-            "nullsteer": __version__,
-            "numpy": np.__version__,
-            "python": ".".join(map(str, sys.version_info[:3])),
-        },
+        "versions": _versions(),
         "wall_time_s": time.monotonic() - started,
         "outputs": [os.path.basename(f) for f in files],
     }
@@ -426,18 +430,48 @@ def run_experiment(config_path, out_dir, dump_states=False, tie_tol=None,
     return files
 
 
+def _figure_columns(fig):
+    """The x name, x values and CSV columns of one bundled figure."""
+    # One runtime per figure: its columns differ only in start and tau.
+    taus = fig.get("taus") or [column[3] for column in fig["columns"]]
+    rt = _Runtime(parse_config(json.dumps(dict(
+        model=fig["model"], detection=fig["detection"], tau=taus[0], experiment="charges"))))
+    if "taus" in fig:
+        rows = [_sweep_row(rt, tau) for tau in taus]
+        picks = [_SWEEP_HEADER.index(header) for header, _ in fig["columns"]]
+        return "tau", taus, [[row[i] for row in rows] for i in picks]
+    trajectories, columns = {}, []
+    for _, _, state, tau, *site in fig["columns"]:
+        key = (json.dumps(state), tau)
+        if key not in trajectories:
+            psi_in = resolve_state(state, rt.model, rt.decomp, rt.psi_d, tau)
+            S = EigenSurvivalOperator(rt.decomp, rt.split, tau)
+            trajectories[key] = evolve(S, psi_in, fig["n_steps"])
+        traj = trajectories[key]
+        columns.append(np.abs(traj.states() @ site_state(rt.model, *site)) ** 2
+                       if site else traj.energies())
+    return "n", range(fig["n_steps"] + 1), columns
+
+
 def run_reproduce(figure_id, out_dir):
     started = time.monotonic()
     os.makedirs(out_dir, exist_ok=True)
-    files = FIGURES[figure_id](out_dir)
+    fig = FIGURES[figure_id]
+    x_name, xs, columns = _figure_columns(fig)
+    headers = [col[0] for col in fig["columns"]]
+    csv_path = os.path.join(out_dir, f"{figure_id}.csv")
+    write_csv(csv_path, [x_name] + headers, zip(xs, *columns))
+    plot = SvgFigure(title=fig["title"], xlabel=x_name, ylabel=fig["ylabel"])
+    for (header, label, *_), ys in zip(fig["columns"], columns):
+        plot.add_line(xs, ys, label=label,
+                      dash="4,3" if header in fig.get("dashed", ()) else None)
+    svg_path = os.path.join(out_dir, f"{figure_id}.svg")
+    plot.write(svg_path)
+    files = [csv_path, svg_path]
     manifest = {
         "command": "reproduce",
         "figure": figure_id,
-        "versions": {
-            "nullsteer": __version__,
-            "numpy": np.__version__,
-            "python": ".".join(map(str, sys.version_info[:3])),
-        },
+        "versions": _versions(),
         "wall_time_s": time.monotonic() - started,
         "outputs": [os.path.basename(f) for f in files],
     }

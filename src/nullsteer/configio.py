@@ -81,6 +81,19 @@ def _fail(locator, key, message):
     raise ConfigError(message, line=locator.line_of(key) if locator else None)
 
 
+def _is_number(value, kind=(int, float)):
+    """A JSON number (an integer for kind=int); booleans, Python ints, are not."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _numbers(value, key):
+    """A list (of lists) of JSON numbers as a float array."""
+    if not isinstance(value, list) or not all(
+            map(_is_number, np.asarray(value, dtype=object).ravel())):
+        raise ConfigError(f"{key} must be a list of numbers")
+    return np.asarray(value, dtype=float)
+
+
 def _require_keys(obj, required, optional, where, locator):
     for key in required:
         if key not in obj:
@@ -109,6 +122,11 @@ def _check_model(spec, locator):
     }[mtype]
     optional = {"custom": ("matrix_im", "labels")}.get(mtype, ())
     _require_keys(spec, ("type",) + required, optional, "model", locator)
+    for key in required:
+        if key == "depth" and not _is_number(spec[key], int):
+            _fail(locator, key, "model parameter 'depth' must be an integer")
+        if mtype != "custom" and not _is_number(spec[key]):
+            _fail(locator, key, f"model parameter {key!r} must be a number")
 
 
 def _check_state_spec(spec, name, locator, allow_combination=True):
@@ -129,15 +147,17 @@ def _check_state_spec(spec, name, locator, allow_combination=True):
         if not isinstance(terms, list) or not terms:
             _fail(locator, "combination", "combination must be a non-empty list")
         for term in terms:
+            if not isinstance(term, dict):
+                _fail(locator, "combination", "combination terms must be objects")
             inner = {k: v for k, v in term.items() if k != "weight"}
             _check_state_spec(inner, "combination term", locator,
                               allow_combination=False)
     elif form == "energy_state":
         ks = spec["energy_state"]
-        if isinstance(ks, int):
+        if _is_number(ks, int):
             return
         if (not isinstance(ks, list) or len(ks) != 2
-                or not all(isinstance(x, int) for x in ks)):
+                or not all(_is_number(x, int) for x in ks)):
             _fail(locator, "energy_state",
                   "energy_state must be a level index or a [level, member] pair")
 
@@ -169,16 +189,16 @@ def parse_config(text, source_path=None):
               f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}")
 
     tau = raw["tau"]
-    if isinstance(tau, (int, float)) and not isinstance(tau, bool):
+    if _is_number(tau):
         if tau <= 0:
             _fail(locator, "tau", "tau must be positive")
         tau_values, sweep = (float(tau),), False
     elif isinstance(tau, dict):
         _require_keys(tau, ("start", "stop", "steps"), (), "tau", locator)
         start, stop, steps = tau["start"], tau["stop"], tau["steps"]
-        if not isinstance(steps, int) or steps < 2:
+        if not _is_number(steps, int) or steps < 2:
             _fail(locator, "steps", "tau sweep needs an integer steps >= 2")
-        if not (0 < start < stop):
+        if not (_is_number(start) and _is_number(stop) and 0 < start < stop):
             _fail(locator, "tau", "tau sweep needs 0 < start < stop")
         tau_values = tuple(float(t) for t in np.linspace(start, stop, steps))
         sweep = True
@@ -191,7 +211,7 @@ def parse_config(text, source_path=None):
         _fail(locator, "tau", "sweep-tau needs a {start, stop, steps} tau")
 
     n_steps = raw.get("n_steps", 100)
-    if not isinstance(n_steps, int) or n_steps < 1:
+    if not _is_number(n_steps, int) or n_steps < 1:
         _fail(locator, "n_steps", "n_steps must be a positive integer")
 
     tolerances = raw.get("tolerances", {})
@@ -203,7 +223,7 @@ def parse_config(text, source_path=None):
         "tolerances", locator,
     )
     for key, value in tolerances.items():
-        if not isinstance(value, (int, float)) or value <= 0:
+        if not _is_number(value) or value <= 0:
             _fail(locator, key, f"tolerance {key} must be a positive number")
 
     perturb = raw.get("perturb")
@@ -223,6 +243,13 @@ def parse_config(text, source_path=None):
         }[scheme]
         _require_keys(perturb, ("scheme",) + needed,
                       ("compare_exact", "delta"), "perturb", locator)
+        for key in needed:
+            indices = perturb[key] if key == "pair_indices" else [perturb[key]]
+            if not isinstance(indices, list) or not all(
+                    _is_number(i, int) for i in indices):
+                _fail(locator, key, f"perturb {key} must be integer level indices")
+        if perturb.get("delta") is not None and not _is_number(perturb["delta"]):
+            _fail(locator, "delta", "perturb delta must be a number")
 
     if experiment in ("evolve", "regime") and "initial_state" not in raw:
         _fail(locator, "experiment",
@@ -268,18 +295,20 @@ def build_model(config):
             return models.build_glued_tree(spec["depth"])
         if mtype == "exceptional_three_level":
             return models.build_exceptional_three_level(spec["gamma"])
-        matrix = np.asarray(spec["matrix_re"], dtype=float).astype(complex)
+        matrix = _numbers(spec["matrix_re"], "matrix_re").astype(complex)
         if "matrix_im" in spec:
-            matrix = matrix + 1j * np.asarray(spec["matrix_im"], dtype=float)
+            matrix = matrix + 1j * _numbers(spec["matrix_im"], "matrix_im")
         return models.build_custom(matrix, labels=spec.get("labels"))
     except (InvalidParameterError, ValueError) as exc:
         raise ConfigError(f"invalid model: {exc}") from exc
 
 
 def _vector_from_spec(spec, dim):
-    re = np.asarray(spec.get("re", ()), dtype=float)
-    im_raw = spec.get("im")
-    im = np.zeros_like(re) if im_raw is None else np.asarray(im_raw, dtype=float)
+    if not isinstance(spec, dict):
+        raise ConfigError("state vector must be an object {re, im}")
+    re = _numbers(spec.get("re", []), "state vector re")
+    im = spec.get("im")
+    im = np.zeros_like(re) if im is None else _numbers(im, "state vector im")
     if re.shape != (dim,) or im.shape != (dim,):
         raise ConfigError(f"state vector must have {dim} re (and im) components")
     return re + 1j * im
@@ -331,12 +360,13 @@ def resolve_state(spec, model, decomp, psi_d=None, tau=None):
     total = np.zeros(model.dim, dtype=complex)
     for term in spec["combination"]:
         weight = term.get("weight", 1.0)
-        if isinstance(weight, dict):
-            weight = float(weight.get("re", 0.0)) + 1j * float(weight.get("im", 0.0))
-        else:
-            weight = complex(weight)
+        if not isinstance(weight, dict):
+            weight = {"re": weight}
+        re, im = weight.get("re", 0.0), weight.get("im", 0.0)
+        if not (_is_number(re) and _is_number(im)):
+            raise ConfigError("combination weight must be a number or {re, im}")
         inner = {key: v for key, v in term.items() if key != "weight"}
-        total = total + weight * resolve_state(inner, model, decomp, psi_d, tau)
+        total += complex(re, im) * resolve_state(inner, model, decomp, psi_d, tau)
     norm = np.linalg.norm(total)
     if norm < 1e-12:
         raise ConfigError("combination sums to the zero vector")

@@ -1,7 +1,7 @@
 """Minimal SVG line plots with no third-party dependencies.
 
 Output is deterministic: fixed palette, coordinates rounded to 0.01 px.
-Only what the bundled figures need: lines, markers, a legend, linear axes.
+Only what the bundled figures need: lines, a legend, linear axes.
 """
 
 from __future__ import annotations
@@ -59,25 +59,16 @@ class SvgFigure:
         self.ylabel = ylabel
         self.series = []
 
-    def _color(self, color):
-        return color if color else PALETTE[len(self.series) % len(PALETTE)]
-
-    def add_line(self, xs, ys, label=None, color=None, dash=None):
+    def add_line(self, xs, ys, label=None, dash=None):
+        color = PALETTE[len(self.series) % len(PALETTE)]
         self.series.append(
-            ("line", list(map(float, xs)), list(map(float, ys)), label,
-             self._color(color), dash)
-        )
-
-    def add_markers(self, xs, ys, label=None, color=None):
-        self.series.append(
-            ("marker", list(map(float, xs)), list(map(float, ys)), label,
-             self._color(color), None)
+            (list(map(float, xs)), list(map(float, ys)), label, color, dash)
         )
 
     def _bounds(self):
-        xs = [x for _, sx, sy, *_ in self.series for x, y in zip(sx, sy)
+        xs = [x for sx, sy, *_ in self.series for x, y in zip(sx, sy)
               if math.isfinite(x) and math.isfinite(y)]
-        ys = [y for _, sx, sy, *_ in self.series for x, y in zip(sx, sy)
+        ys = [y for sx, sy, *_ in self.series for x, y in zip(sx, sy)
               if math.isfinite(x) and math.isfinite(y)]
         if not xs:
             return 0.0, 1.0, 0.0, 1.0
@@ -145,26 +136,21 @@ class SvgFigure:
                 f'transform="rotate(-90 16 {cy:.2f})">{self.ylabel}</text>'
             )
 
-        for kind, xs, ys, _, color, dash in self.series:
+        for xs, ys, _, color, dash in self.series:
             pts = [
                 (px(x), py(y))
                 for x, y in zip(xs, ys)
                 if math.isfinite(x) and math.isfinite(y)
             ]
-            if kind == "line" and len(pts) >= 2:
+            if len(pts) >= 2:
                 coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in pts)
                 dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
                 parts.append(
                     f'<polyline points="{coords}" fill="none" stroke="{color}" '
                     f'stroke-width="1.5"{dash_attr}/>'
                 )
-            elif kind == "marker":
-                for x, y in pts:
-                    parts.append(
-                        f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="{color}"/>'
-                    )
 
-        labeled = [(s[3], s[4], s[0], s[5]) for s in self.series if s[3]]
+        labeled = [s[2:] for s in self.series if s[2]]
         if labeled:
             lx = MARGIN_LEFT + pw - 150
             ly = MARGIN_TOP + 10
@@ -173,18 +159,13 @@ class SvgFigure:
                 f'height="{18 * len(labeled) + 8}" fill="white" stroke="black" '
                 f'opacity="0.85"/>'
             )
-            for i, (label, color, kind, dash) in enumerate(labeled):
+            for i, (label, color, dash) in enumerate(labeled):
                 yy = ly + 18 * i + 8
-                if kind == "line":
-                    dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-                    parts.append(
-                        f'<line x1="{lx}" y1="{yy}" x2="{lx + 22}" y2="{yy}" '
-                        f'stroke="{color}" stroke-width="1.5"{dash_attr}/>'
-                    )
-                else:
-                    parts.append(
-                        f'<circle cx="{lx + 11}" cy="{yy}" r="3" fill="{color}"/>'
-                    )
+                dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+                parts.append(
+                    f'<line x1="{lx}" y1="{yy}" x2="{lx + 22}" y2="{yy}" '
+                    f'stroke="{color}" stroke-width="1.5"{dash_attr}/>'
+                )
                 parts.append(f'<text x="{lx + 28}" y="{yy + 4}">{label}</text>')
         parts.append("</svg>")
         with open(path, "w", newline="") as fh:

@@ -222,6 +222,9 @@ def test_stationary_point_properties(cfg):
     for r, res in zip(sp.roots, sp.residuals):
         assert abs(r) <= 1.0 + 1e-9
         assert res < 1e-8
+        if r != 0:  # moment-counted zeros report |F(0)| itself
+            f, fp = ns.field(cfg, r), sum(c.p / (r - c.phase) ** 2 for c in cfg.active())
+            assert abs(f) < 1e-8 + 1e-14 * abs(fp)
     mods = [abs(r) for r in sp.roots]
     assert abs(sp.max_abs - max(mods)) < 1e-15
 
@@ -264,6 +267,23 @@ def test_wide_charge_roots_stay_in_the_hull(w, levels):
         inv = 1.0 / (roots[:, None] - np.array([c.phase for c in cfg.active()]))
         f, fp = inv @ p, (inv * inv) @ p
         assert np.all(np.abs(f) < 1e-8 + 1e-14 * np.abs(fp))
+
+
+@pytest.mark.parametrize("levels", ["goe", "poisson"])
+@pytest.mark.parametrize("w", [20, 70, 200])
+def test_wide_charge_residuals_are_position_errors(w, levels):
+    """The residual is |F/F'|, so a root next to a weak charge reads exact."""
+    for seed in range(3):
+        residuals = ns.stationary_points(_wide_charges(w, seed, levels)).residuals
+        assert max(residuals) < 1e-14
+
+
+def test_root_at_an_unmerged_aliased_phase_reads_inf():
+    """Next to a pole |F/F'| is the distance to it: that 'root' is the pole."""
+    sp = ns.stationary_points(ns.config_from_levels((0.0, 0.0, 1.0), (0.3, 0.3, 0.4), 1.0))
+    spurious = [res for r, res in zip(sp.roots, sp.residuals) if abs(r - 1.0) < 1e-12]
+    assert spurious == [math.inf]
+    assert all(res < 1e-14 for r, res in zip(sp.roots, sp.residuals) if abs(r - 1.0) >= 1e-12)
 
 
 def test_wide_charge_disk_roots_match_dense_s():

@@ -1,8 +1,10 @@
 import json
 import math
+import pathlib
 import shutil
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from nullsteer.charges import COALESCENCE_TOL
 from nullsteer.cli import main, run_experiment
 from nullsteer.configio import parse_config, resolve_state
 from nullsteer.csvio import read_csv
+from nullsteer.figures import FIGURES
 
 from helpers import with_root_outside_disk
 
@@ -422,6 +425,45 @@ def test_main_bad_model_parameter_is_exit_2(tmp_path, capsys):
     assert "invalid model" in capsys.readouterr().err
 
 
+_EVOLVE = {"experiment": "evolve", "initial_state": {"site": "2"}}
+
+
+@pytest.mark.parametrize("key, payload", [
+    ("gamma", _chain_payload(model={"type": "three_level_chain", "gamma": "1.0"})),
+    ("gamma", _chain_payload(model={"type": "three_level_chain", "gamma": None})),
+    ("gamma", _chain_payload(model={"type": "three_level_chain", "gamma": True})),
+    ("gamma2", _chain_payload(
+        model={"type": "v_atom", "E_G": 0.0, "E_D": 3.0, "E_B": 5.0,
+               "gamma1": 0.01, "gamma2": [1.0]},
+        detection={"site": "B"})),
+    ("depth", _chain_payload(model={"type": "glued_tree", "depth": True},
+                             detection={"site": "(1,1)"})),
+    ("depth", _chain_payload(model={"type": "glued_tree", "depth": 2.5},
+                             detection={"site": "(1,1)"})),
+    ("n_steps", _chain_payload(n_steps=True, **_EVOLVE)),
+    ("tie_tol", _chain_payload(tolerances={"tie_tol": True})),
+    ("energy_state", _chain_payload(experiment="evolve",
+                                    initial_state={"energy_state": True})),
+    ("weight", _chain_payload(experiment="evolve", initial_state={
+        "combination": [{"weight": "1", "site": "2"}, {"site": "1"}]})),
+    ("state vector re", _chain_payload(detection={"vector": {"re": [True, 0, 0]}})),
+    ("matrix_re", _chain_payload(
+        model={"type": "custom", "matrix_re": [[0.0, True], [True, 1.0]]})),
+    ("start", _chain_payload(experiment="sweep-tau",
+                             tau={"start": True, "stop": 2.0, "steps": 3})),
+    ("weak_index", _chain_payload(
+        experiment="perturb", perturb={"scheme": "weak_charge", "weak_index": True})),
+    ("delta", _chain_payload(experiment="perturb", perturb={
+        "scheme": "triple_charge", "center_index": 1, "pair_indices": [0, 2],
+        "delta": "0.1"})),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_main_non_number_input_is_exit_2(tmp_path, capsys, key, payload):
+    """Strings, nulls and booleans where a number is read are config errors."""
+    cfg = _write(tmp_path, payload)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_main_not_applicable_is_exit_2(tmp_path, capsys):
     cfg = _write(tmp_path, _chain_payload(
         experiment="perturb", perturb={"scheme": "zeno"}))
@@ -499,6 +541,73 @@ def test_reproduce_fig5_shelving(tmp_path, capsys):
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["command"] == "reproduce"
     assert manifest["outputs"] == ["fig5.csv", "fig5.svg"]
+
+
+REFERENCE_DIR = pathlib.Path(__file__).resolve().parents[1] / "bench" / "reference"
+# From n = 247 this column is rounding-seeded dark weight grown to O(1)
+# (ROADMAP item 1), so it is checked on its own, as a known failure.
+FIG8_TAIL = ("fig8", "mean_energy_tau_1.25")
+
+
+@pytest.fixture(scope="module")
+def reproduced(tmp_path_factory):
+    out = tmp_path_factory.mktemp("figures")
+    for figure_id in FIGURES:
+        assert main(["reproduce", figure_id, "--out", str(out)]) == 0
+        ET.parse(out / f"{figure_id}.svg")
+    return out
+
+
+def _reference_mismatches(out, figure_id, columns=None):
+    """Cells off bench/reference by more than 1e-8 max(1, |ref|), as the oracle."""
+    header, rows = read_csv(out / f"{figure_id}.csv")
+    ref_header, ref_rows = read_csv(REFERENCE_DIR / f"{figure_id}.csv")
+    assert header == ref_header
+    assert len(rows) == len(ref_rows)
+    bad = []
+    for j, name in enumerate(header):
+        if (figure_id, name) == FIG8_TAIL and columns is None:
+            continue
+        if columns is not None and name not in columns:
+            continue
+        for n, (row, ref) in enumerate(zip(rows, ref_rows)):
+            got, want = float(row[j]), float(ref[j])
+            if math.isnan(got) and math.isnan(want):
+                continue
+            if not abs(got - want) <= 1e-8 * max(1.0, abs(want)):
+                bad.append((name, n, got, want))
+    return bad
+
+
+@pytest.mark.parametrize("figure_id", sorted(FIGURES))
+def test_reproduce_matches_reference(reproduced, figure_id):
+    assert _reference_mismatches(reproduced, figure_id) == []
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "fig8 tau=1.25 from n = 247 is rounding-seeded dark weight grown to O(1) "
+    "(ROADMAP item 1); evolution does not yet keep a bright start bright"))
+def test_reproduce_fig8_tail_matches_reference(reproduced):
+    assert _reference_mismatches(reproduced, FIG8_TAIL[0], [FIG8_TAIL[1]]) == []
+
+
+def test_reproduce_builds_no_dense_operator(tmp_path, monkeypatch):
+    """Figures run in eigen-coordinates: no dense U(tau), no dense S."""
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module_name, module in list(sys.modules.items()):
+        for name in ("propagator", "build_survival"):
+            if module_name.startswith("nullsteer") and hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for figure_id in FIGURES:
+        assert main(["reproduce", figure_id, "--out", str(tmp_path)]) == 0
+    assert calls == []
 
 
 def test_console_script_runs(tmp_path):
