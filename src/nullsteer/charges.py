@@ -27,10 +27,11 @@ from .errors import (
 )
 from .models import SpectralDecomposition, _phase_fix, as_vector
 
-#: Charges below this absolute value are treated as exactly zero (level dark).
+#: Default bright/dark decision: a level with charge p_k at most this is dark.
 ZERO_CHARGE_THRESHOLD = 1e-12
 
-#: Overlaps below this count as exact detector orthogonality (state is dark).
+#: Inside a bright level, members with a smaller detector overlap are dark as
+#: they stand; the others enter the Gram-Schmidt recursion.
 ORTHOGONALITY_TOL = 1e-10
 
 #: Default |xi| tie tolerance when collecting the dominant root set.
@@ -78,9 +79,13 @@ class ChargeConfiguration:
             if abs(abs(c.phase) - 1.0) > 1e-12:
                 raise InvalidParameterError("charge phases must lie on the unit circle")
 
+    def active_indices(self):
+        """Indices of the charges above the zero threshold, in level order."""
+        return [i for i, c in enumerate(self.charges) if c.p > self.zero_threshold]
+
     def active(self):
         """Charges above the zero threshold, in level order."""
-        return [c for c in self.charges if c.p > self.zero_threshold]
+        return [self.charges[i] for i in self.active_indices()]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,8 +94,8 @@ class StationaryPoints:
 
     ``roots`` run by descending modulus; roots whose moduli agree to
     COALESCENCE_TOL (a conjugate pair) run by descending imaginary part,
-    then real part.  ``argmax_set`` indexes every root whose modulus ties
-    the maximum within the tie tolerance used to compute it.
+    then real part.  Which roots tie for the dominant modulus is decided by
+    the tie tolerance of ``classify_regime`` and ``crossover_step``.
 
     ``residuals[i]`` is the Newton step |F/F'| at ``roots[i]``, i.e. the
     root's position error: near a weak charge |F'| is huge, so |F| itself
@@ -102,7 +107,6 @@ class StationaryPoints:
     roots: tuple
     residuals: tuple
     max_abs: float
-    argmax_set: tuple
 
 
 @dataclasses.dataclass(frozen=True)
@@ -132,12 +136,25 @@ def dark_combination_coeffs(alphas):
     return out
 
 
+def _dark_combinations(vectors, alphas):
+    """Unit, phase-fixed ``dark_combination_coeffs(alphas)`` combinations of
+    the orthonormal columns of ``vectors``, whose detector overlaps are ``alphas``."""
+    out = []
+    for row in dark_combination_coeffs(alphas):
+        v = _phase_fix(vectors @ row)
+        out.append(v / np.linalg.norm(v))
+    return out
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class DetectorSplit:
     """The tau-independent part of one detector in one decomposition.
 
     ``c`` = V^dag psi_d, the level charges ``p`` and the dark vectors
     ``darks`` do not depend on tau, so a tau sweep builds them once.
+    ``bright_levels`` is the bright/dark decision for every level, made
+    here once from ``zero_threshold``: the charges, the bright states, the
+    dark vectors, the charge groups and ``energy_state`` members all read it.
     ``vector`` is the detection state, so a split may be passed wherever a
     detection state is expected; the functions taking (decomp, psi_d) read
     from it when it belongs to their decomposition.
@@ -145,7 +162,7 @@ class DetectorSplit:
 
     decomp: SpectralDecomposition
     detection: object
-    ortho_tol: float = ORTHOGONALITY_TOL
+    zero_threshold: float = ZERO_CHARGE_THRESHOLD
 
     @functools.cached_property
     def vector(self):
@@ -164,6 +181,11 @@ class DetectorSplit:
     def p(self):
         return np.add.reduceat((self.c * self.c.conj()).real, self.starts)
 
+    @functools.cached_property
+    def bright_levels(self):
+        """Indices of the bright levels, those with p_k > zero_threshold."""
+        return np.flatnonzero(self.p > self.zero_threshold)
+
     def overlaps(self, k):
         """Detector overlaps <E_l|psi_d> of level k's members."""
         start = self.starts[k]
@@ -178,37 +200,37 @@ class DetectorSplit:
     def darks(self):
         """(level index, read-only unit vector) for each per-level dark state.
 
-        Members orthogonal to the detector within ``ortho_tol`` are dark as
-        they stand; each level's remaining members are sorted by descending
-        overlap magnitude (ties by index) and fed to the Gram-Schmidt
-        recursion, yielding g_eff - 1 dark combinations.
+        A dark level gives each of its members as it stands.  A bright
+        level of degeneracy g gives g - 1: its members are sorted by
+        descending overlap magnitude (ties by index); the first one seeds
+        the Gram-Schmidt recursion, which also takes every member whose
+        overlap is at least ORTHOGONALITY_TOL, and the others are given as
+        they stand.
         """
+        bright = set(self.bright_levels.tolist())
         out = []
         for k, lv in enumerate(self.decomp.levels):
-            a = self.overlaps(k)
-            effective = []
-            for l in range(lv.degeneracy):
-                if abs(a[l]) < self.ortho_tol:
-                    out.append((k, _phase_fix(lv.eigenvectors[:, l].copy())))
-                else:
-                    effective.append(l)
-            if len(effective) > 1:
-                order = sorted(effective, key=lambda l: (-abs(a[l]), l))
-                w = lv.eigenvectors[:, order]
-                for row in dark_combination_coeffs(a[order]):
-                    v = _phase_fix(w @ row)
-                    out.append((k, v / np.linalg.norm(v)))
+            a, seeds = self.overlaps(k), []
+            if k in bright:
+                order = sorted(range(lv.degeneracy), key=lambda l: (-abs(a[l]), l))
+                seeds = order[:1] + [l for l in order[1:] if abs(a[l]) >= ORTHOGONALITY_TOL]
+            out += [(k, _phase_fix(lv.eigenvectors[:, l]))
+                    for l in range(lv.degeneracy) if l not in seeds]
+            if seeds:
+                out += [(k, v) for v in _dark_combinations(lv.eigenvectors[:, seeds], a[seeds])]
         for _, v in out:
             v.setflags(write=False)
         return tuple(out)
 
 
-def _as_split(decomp, psi_d, ortho_tol=ORTHOGONALITY_TOL):
-    """``psi_d`` when it is already the split wanted, else a new split of it."""
+def _as_split(decomp, psi_d, zero_threshold=None):
+    """``psi_d`` when it is a split of ``decomp`` at ``zero_threshold`` (any
+    threshold for None), else a new split of it."""
     if (isinstance(psi_d, DetectorSplit) and psi_d.decomp is decomp
-            and psi_d.ortho_tol == ortho_tol):
+            and zero_threshold in (None, psi_d.zero_threshold)):
         return psi_d
-    return DetectorSplit(decomp, psi_d, ortho_tol)
+    return DetectorSplit(decomp, psi_d, ZERO_CHARGE_THRESHOLD if zero_threshold is None
+                         else zero_threshold)
 
 
 def config_from_levels(energies, charge_values, tau, zero_threshold=ZERO_CHARGE_THRESHOLD):
@@ -220,10 +242,14 @@ def config_from_levels(energies, charge_values, tau, zero_threshold=ZERO_CHARGE_
     return ChargeConfiguration(float(tau), charges_, float(zero_threshold))
 
 
-def charges(decomp, psi_d, tau, zero_threshold=ZERO_CHARGE_THRESHOLD):
-    """Charge of every level of the decomposition at sampling time tau."""
-    p = _as_split(decomp, psi_d).p
-    return config_from_levels(decomp.energies, p, tau, zero_threshold)
+def charges(decomp, psi_d, tau, zero_threshold=None):
+    """Charge of every level of the decomposition at sampling time tau.
+
+    The configuration carries the split's ``zero_threshold`` (that of a
+    split ``psi_d`` when None), so its active charges are its bright levels.
+    """
+    split = _as_split(decomp, psi_d, zero_threshold)
+    return config_from_levels(decomp.energies, split.p, tau, split.zero_threshold)
 
 
 def _active_arrays(config):
@@ -294,7 +320,7 @@ def _refine_roots(p, z, xis):
     return best, np.where(step < 0.5 * gap, step, math.inf)  # false for nan
 
 
-def stationary_points(config, tie_tol=DEFAULT_TIE_TOL):
+def stationary_points(config):
     """All stationary points of the charge field, polished to full precision.
 
     On the bright subspace, spanned by the normalized level projections of
@@ -325,8 +351,7 @@ def stationary_points(config, tie_tol=DEFAULT_TIE_TOL):
     roots = tuple(r for r, _ in polished)
     residuals = tuple(e for _, e in polished)
     max_abs = max((abs(r) for r in roots), default=0.0)
-    argmax = tuple(i for i, r in enumerate(roots) if max_abs - abs(r) <= tie_tol)
-    return StationaryPoints(roots, residuals, max_abs, argmax)
+    return StationaryPoints(roots, residuals, max_abs)
 
 
 def energy_spread(decomp):
@@ -353,11 +378,17 @@ def zeno_bound(decomp, tau):
     return bound, t_b, t_b / tau
 
 
-def _coalesced_points(roots):
-    """Each of ``roots`` and xi = 0 within COALESCENCE_TOL of a later one."""
+def _exceptional(roots, min_biorth):
+    """The exceptional-point test: (coalesced points, flag).
+
+    Each of ``roots`` and xi = 0 within COALESCENCE_TOL of a later one has
+    coalesced; the flag is set by any coalescence or by a smallest disk
+    biorthogonal overlap ``min_biorth`` below COALESCENCE_TOL (not by nan).
+    """
     pts = np.append(np.asarray(roots, dtype=complex), 0j)
     close = np.triu(np.abs(pts[:, None] - pts) < COALESCENCE_TOL, 1)
-    return [complex(pts[i]) for i in np.nonzero(close)[0]]
+    coalesced = [complex(pts[i]) for i in np.nonzero(close)[0]]
+    return coalesced, bool(coalesced) or min_biorth < COALESCENCE_TOL
 
 
 def detect_exceptional(config, spectrum_hint=None):
@@ -367,17 +398,7 @@ def detect_exceptional(config, spectrum_hint=None):
     xi = 0; when a spectrum is supplied its minimum disk biorthogonal
     overlap is also consulted.
     """
-    coalesced = _coalesced_points(stationary_points(config).roots)
-    min_biorth = math.nan
-    if spectrum_hint is not None:
-        overlaps = [
-            abs(np.vdot(t.left, t.right))
-            for t in spectrum_hint.triples
-            if t.kind == "disk"
-        ]
-        if overlaps:
-            min_biorth = float(min(overlaps))
-    is_exceptional = bool(coalesced) or (
-        not math.isnan(min_biorth) and min_biorth < COALESCENCE_TOL
-    )
+    disk = spectrum_hint.by_kind("disk") if spectrum_hint is not None else ()
+    min_biorth = float(min((abs(np.vdot(t.left, t.right)) for t in disk), default=math.nan))
+    coalesced, is_exceptional = _exceptional(stationary_points(config).roots, min_biorth)
     return ExceptionalReport(is_exceptional, tuple(coalesced), min_biorth)

@@ -79,7 +79,7 @@ class _Runtime:
         self.model = build_model(config)
         self.decomp = spectral_decompose(self.model, self.grouping_tol)
         self.psi_d = resolve_detection(config, self.model, self.decomp)
-        self.split = DetectorSplit(self.decomp, self.psi_d)
+        self.split = DetectorSplit(self.decomp, self.psi_d, self.zero_threshold)
 
     @functools.cached_property
     def initial_state(self):
@@ -87,13 +87,10 @@ class _Runtime:
         if self.config.initial_state is None:
             return None
         return resolve_state(self.config.initial_state, self.model, self.decomp,
-                             self.psi_d, self.config.tau_values[0])
+                             self.split, self.config.tau_values[0])
 
     def spectrum(self, tau):
-        return full_spectrum(
-            self.decomp, self.split, tau, tie_tol=self.tie_tol,
-            zero_threshold=self.zero_threshold,
-        )
+        return full_spectrum(self.decomp, self.split, tau)
 
     def charge_config(self, tau):
         return compute_charges(
@@ -142,7 +139,7 @@ def _run_charges(rt, out_dir):
     charges_path = os.path.join(out_dir, "charges.csv")
     write_csv(charges_path, ("E_k", "p_k", "re_phase", "im_phase"), charge_rows)
 
-    sp = stationary_points(merged_charge_config(config), tie_tol=rt.tie_tol)
+    sp = stationary_points(merged_charge_config(config))
     root_rows = [
         (
             float(r.real),
@@ -270,7 +267,7 @@ def _sweep_row(rt, tau):
     kind = ""
     if rt.config.initial_state is None:
         merged = merged_charge_config(rt.charge_config(tau))
-        sp = stationary_points(merged, tie_tol=rt.tie_tol)
+        sp = stationary_points(merged)
         w_eff = len(merged.active())
     else:
         spectrum = rt.spectrum(tau)
@@ -312,6 +309,9 @@ def _run_perturb(rt, out_dir):
     options = rt.config.perturb
     scheme = options["scheme"]
     config = rt.charge_config(tau)
+    for key in ("weak_index", "index_a", "index_b", "center_index", "pair_indices"):
+        if not all(0 <= i < len(config.charges) for i in np.ravel(options.get(key, []))):
+            raise ConfigError(f"perturb {key} must name levels 0..{len(config.charges) - 1}")
     if scheme == "weak_charge":
         est = weak_charge_estimate(config, options["weak_index"], decomp=rt.decomp)
     elif scheme == "two_merge":
@@ -444,7 +444,7 @@ def _figure_columns(fig):
     for _, _, state, tau, *site in fig["columns"]:
         key = (json.dumps(state), tau)
         if key not in trajectories:
-            psi_in = resolve_state(state, rt.model, rt.decomp, rt.psi_d, tau)
+            psi_in = resolve_state(state, rt.model, rt.decomp, rt.split, tau)
             S = EigenSurvivalOperator(rt.decomp, rt.split, tau)
             trajectories[key] = evolve(S, psi_in, fig["n_steps"])
         traj = trajectories[key]

@@ -17,8 +17,9 @@ State specs: {"site": label}, {"vector": {"re": [...], "im": [...]}},
 {"energy_state": [k, l]}, or {"combination": [{"weight": w, <state-spec>}]}.
 ``energy_state`` uses the detector-aligned member convention: within an
 active level, member 0 is the bright projection of the detection state and
-members 1.. are the dark combinations in their canonical order; inactive or
-detection-free levels expose their stored eigenvectors directly.
+members 1.. are the dark combinations in their canonical order; dark levels
+(as the run's zero_threshold decides) and detection-free resolution expose
+the stored eigenvectors directly.
 
 Validation failures raise ConfigError carrying the best-effort source line.
 """
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidParameterError, NullsteerError
 from . import models
-from .charges import ZERO_CHARGE_THRESHOLD, DetectorSplit
+from .charges import _as_split
 
 EXPERIMENTS = ("spectrum", "charges", "evolve", "sweep-tau", "regime", "perturb")
 MODEL_TYPES = (
@@ -243,11 +244,18 @@ def parse_config(text, source_path=None):
         }[scheme]
         _require_keys(perturb, ("scheme",) + needed,
                       ("compare_exact", "delta"), "perturb", locator)
+        levels = []
         for key in needed:
             indices = perturb[key] if key == "pair_indices" else [perturb[key]]
             if not isinstance(indices, list) or not all(
                     _is_number(i, int) for i in indices):
                 _fail(locator, key, f"perturb {key} must be integer level indices")
+            if key == "pair_indices" and len(indices) != 2:
+                _fail(locator, key, "perturb pair_indices must be two level indices")
+            levels += indices
+            if len(set(levels)) < len(levels):
+                _fail(locator, key, f"perturb {key} repeats a level: "
+                      f"scheme {scheme!r} needs distinct levels")
         if perturb.get("delta") is not None and not _is_number(perturb["delta"]):
             _fail(locator, "delta", "perturb delta must be a number")
 
@@ -315,15 +323,19 @@ def _vector_from_spec(spec, dim):
 
 
 def aligned_member(decomp, psi_d, tau, level_index, member_index):
-    """Resolve [k, l] with member 0 = bright projection, 1.. = dark combos."""
+    """Resolve [k, l] with member 0 = bright projection, 1.. = dark combos.
+
+    ``psi_d`` may be a DetectorSplit of ``decomp``; its threshold then
+    decides whether level k is bright.
+    """
     if not 0 <= level_index < decomp.w:
         raise ConfigError(
             f"energy_state level {level_index} out of range 0..{decomp.w - 1}"
         )
     level = decomp.levels[level_index]
     if psi_d is not None and tau is not None:
-        split = DetectorSplit(decomp, psi_d)
-        if split.p[level_index] > ZERO_CHARGE_THRESHOLD:
+        split = _as_split(decomp, psi_d)
+        if level_index in split.bright_levels:
             darks = [v for k, v in split.darks if k == level_index]
             basis = [split.bright(level_index)] + darks
             if not 0 <= member_index < len(basis):

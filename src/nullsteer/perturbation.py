@@ -79,16 +79,12 @@ def weak_charge_estimate(config, weak_index, decomp=None):
     xi ~ phase_0 - eps with eps = p_0 / sum_{k != 0} p_k / (phase_0 - phase_k).
     The final state is the weak level's eigenstate.
     """
-    weak = config.charges[weak_index]
-    if weak.p <= config.zero_threshold:
+    weak, active = config.charges[weak_index], config.active_indices()
+    if weak_index not in active:
         raise NotApplicableError(
             "the weak level is exactly dark; use the dark-state machinery"
         )
-    others = [
-        c
-        for i, c in enumerate(config.charges)
-        if i != weak_index and c.p > config.zero_threshold
-    ]
+    others = [config.charges[i] for i in active if i != weak_index]
     if not others:
         raise NotApplicableError("weak-charge scheme needs at least one other charge")
     ratio = weak.p / min(c.p for c in others)
@@ -178,7 +174,8 @@ def triple_charge_estimate(config, center_index, pair_indices, delta=None):
     ia, ib = pair_indices
     center = config.charges[center_index]
     ca, cb = config.charges[ia], config.charges[ib]
-    if center.p <= config.zero_threshold:
+    active = config.active_indices()
+    if center_index not in active:
         raise NotApplicableError("triple-charge needs a nonzero center charge")
     if abs(ca.p - cb.p) > 1e-8 * max(ca.p, cb.p, 1e-30):
         raise NotApplicableError(
@@ -201,9 +198,8 @@ def triple_charge_estimate(config, center_index, pair_indices, delta=None):
     p0, p = center.p, 0.5 * (ca.p + cb.p)
     a_coef = math.sqrt(p0 / (p0 + 2.0 * p))
     background = sum(
-        c.p / (1.0 - c.phase / center.phase)
-        for i, c in enumerate(config.charges)
-        if i != center_index and c.p > config.zero_threshold
+        config.charges[i].p / (1.0 - config.charges[i].phase / center.phase)
+        for i in active if i != center_index
     )
     b_coef = (p0 + p) / (2.0 * (p0 + 2.0 * p)) + p / (p0 + 2.0 * p) ** 2 * background
     xi_plus = center.phase * (1.0 + 1j * a_coef * d - b_coef * d * d)

@@ -2,11 +2,10 @@
 
 The spectrum is assembled analytically; no dim x dim non-Hermitian matrix
 is diagonalized: one eigenvalue is always 0 (right vector U^-1 psi_d),
-unit-circle eigenvalues come from dark states (level members orthogonal to
-the detector, completed by a Gram-Schmidt recursion inside degenerate
-levels), and the remaining eigenvalues are the charge-field stationary
-points (eigenvalues of the w x w bright-space block of S) with
-resolvent-formula eigenvectors.
+unit-circle eigenvalues come from dark states (members of dark levels, and
+a Gram-Schmidt recursion inside bright ones), and the remaining eigenvalues
+are the charge-field stationary points (eigenvalues of the w x w
+bright-space block of S) with resolvent-formula eigenvectors.
 
 All of it works in the eigen-coordinates of H, where U(tau) is the vector
 z = exp(-i e tau) and S is diagonal plus rank one.  The dense
@@ -16,22 +15,19 @@ oracles for tests.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import functools
-import math
 
 import numpy as np
 
 from .charges import (
     Charge,
     ChargeConfiguration,
-    DEFAULT_TIE_TOL,
-    ORTHOGONALITY_TOL,
-    ZERO_CHARGE_THRESHOLD,
     _as_split,
-    _coalesced_points,
+    _dark_combinations,
+    _exceptional,
     charges as compute_charges,
-    dark_combination_coeffs,
     stationary_points,
 )
 from .errors import (
@@ -41,9 +37,6 @@ from .errors import (
     RootTooCloseError,
 )
 from .models import SpectralDecomposition, _phase_fix, as_vector, spectral_decompose
-
-#: |xi| below this is classified as the zero eigenvalue.
-ZERO_CLASS_TOL = 1e-10
 
 #: Unit-circle phases closer than this are aliased (distinct levels sharing
 #: one survival eigenvalue).
@@ -165,18 +158,19 @@ def phase_aliasing(decomp, tau, tol=ALIAS_TOL):
     return tuple((int(i), int(j)) for i, j in zip(*np.nonzero(close)))
 
 
-def dark_states(decomp, psi_d, tau, ortho_tol=ORTHOGONALITY_TOL):
+def dark_states(decomp, psi_d, tau):
     """All unit-circle eigenstates built per level.
 
     The vectors are the DetectorSplit's ``darks`` (``psi_d`` may be that
-    split); each dark state carries xi = exp(-i E_k tau), equal left and
-    right vectors, and its level energy.
+    split, whose threshold then decides which levels are dark); each dark
+    state carries xi = exp(-i E_k tau), equal left and right vectors, and
+    its level energy.
     """
     phases = np.exp(-1j * decomp.energies * tau)
     return [
         EigenTriple(complex(phases[k]), v, v, KIND_CIRCLE, source_level=k,
                     energy=decomp.levels[k].energy)
-        for k, v in _as_split(decomp, psi_d, ortho_tol).darks
+        for k, v in _as_split(decomp, psi_d).darks
     ]
 
 
@@ -188,17 +182,11 @@ def _cross_level_darks(split, config, groups):
     weight; the same recursion applies with alphas sqrt(p).
     """
     triples = []
-    for group in groups:
-        if len(group) < 2:
-            continue
-        brights = [split.bright(k) for k in group]
-        coeffs = dark_combination_coeffs(
-            np.array([math.sqrt(config.charges[k].p) for k in group])
-        )
+    for group in (g for g in groups if len(g) > 1):
+        brights = np.column_stack([split.bright(k) for k in group])
+        alphas = np.sqrt([config.charges[k].p for k in group])
         phase = config.charges[group[0]].phase
-        for row in coeffs:
-            v = sum(c * b for c, b in zip(row, brights))
-            v = _phase_fix(v / np.linalg.norm(v))
+        for v in _dark_combinations(brights, alphas):
             energy = split.decomp.mean_energy(v)
             triples.append(
                 EigenTriple(phase, v, v, KIND_CIRCLE, source_level=None, energy=energy)
@@ -207,32 +195,20 @@ def _cross_level_darks(split, config, groups):
 
 
 def _alias_groups(config):
-    """Transitive groups of active charge indices with coinciding phases."""
-    active_idx = [
-        i for i, c in enumerate(config.charges) if c.p > config.zero_threshold
-    ]
-    groups = []
-    used = set()
-    for i in active_idx:
-        if i in used:
-            continue
-        group = [i]
-        used.add(i)
-        changed = True
-        while changed:
-            changed = False
-            for j in active_idx:
-                if j in used:
-                    continue
-                if any(
-                    abs(config.charges[j].phase - config.charges[g].phase) < ALIAS_TOL
-                    for g in group
-                ):
-                    group.append(j)
-                    used.add(j)
-                    changed = True
-        groups.append(tuple(sorted(group)))
-    return tuple(groups)
+    """Groups of active charge indices whose phases chain within ALIAS_TOL.
+
+    The phases are sorted by angle and cut wherever two neighbors lie at
+    least ALIAS_TOL apart, the last and first neighbors across +-pi
+    included; groups run by their smallest index.
+    """
+    active = config.active_indices()
+    z = [config.charges[i].phase for i in active]
+    order = sorted(range(len(z)), key=lambda j: cmath.phase(z[j]))
+    cuts = [n for n in range(1, len(order)) if abs(z[order[n]] - z[order[n - 1]]) >= ALIAS_TOL]
+    runs = [order[i:j] for i, j in zip([0] + cuts, cuts + [len(order)])]
+    if len(runs) > 1 and abs(z[order[-1]] - z[order[0]]) < ALIAS_TOL:
+        runs[0] += runs.pop()
+    return tuple(sorted(tuple(sorted(active[j] for j in r)) for r in runs if r))
 
 
 def merged_charge_config(config, groups=None):
@@ -251,17 +227,21 @@ def merged_charge_config(config, groups=None):
         phase = phase / abs(phase)
         energy = sum(config.charges[i].p * config.charges[i].energy for i in g) / p
         merged.append(Charge(p, energy, phase))
-    inert = [c for c in config.charges if c.p <= config.zero_threshold]
+    grouped = {i for g in groups for i in g}
+    inert = [c for i, c in enumerate(config.charges) if i not in grouped]
     # Zero charges are kept for the normalization invariant.
     return ChargeConfiguration(
         config.tau, tuple(merged) + tuple(inert), config.zero_threshold
     )
 
 
-def bright_states(decomp, psi_d, zero_threshold=ZERO_CHARGE_THRESHOLD):
-    """(level index, normalized projected detector) for each charged level."""
-    split = _as_split(decomp, psi_d)
-    return [(int(k), split.bright(k)) for k in np.flatnonzero(split.p > zero_threshold)]
+def bright_states(decomp, psi_d, zero_threshold=None):
+    """(level index, normalized projected detector) for each bright level.
+
+    ``zero_threshold`` None keeps the threshold of a split ``psi_d``.
+    """
+    split = _as_split(decomp, psi_d, zero_threshold)
+    return [(int(k), split.bright(k)) for k in split.bright_levels]
 
 
 def zero_eigenpair(U, psi_d):
@@ -299,8 +279,7 @@ def disk_eigenpairs(decomp, psi_d, tau, roots):
     ]
 
 
-def full_spectrum(model, psi_d, tau, grouping_tol=None, tie_tol=DEFAULT_TIE_TOL,
-                  zero_threshold=ZERO_CHARGE_THRESHOLD):
+def full_spectrum(model, psi_d, tau, grouping_tol=None, zero_threshold=None):
     """Assemble and classify the complete eigensystem of S.
 
     ``model`` is a HermitianModel, decomposed here with ``grouping_tol``, or
@@ -308,7 +287,8 @@ def full_spectrum(model, psi_d, tau, grouping_tol=None, tie_tol=DEFAULT_TIE_TOL,
     ``psi_d`` may be a DetectorSplit of that decomposition: a tau sweep
     then reuses its overlaps, charges and dark vectors, and only the
     phases, the stationary points and the disk vectors are redone.
-    ``zero_threshold`` is the charge below which a level counts as dark.
+    ``zero_threshold`` is the charge at or below which a level counts as
+    dark (None keeps the threshold of a split ``psi_d``).
     Non-exceptional spectra satisfy the count partition
     dim = 1 + (number of distinct charged phases - 1) + circle states.
     Total coalescence at 0 (and any stationary-point coalescence or loss of
@@ -323,40 +303,27 @@ def full_spectrum(model, psi_d, tau, grouping_tol=None, tie_tol=DEFAULT_TIE_TOL,
         decomp = model
     else:
         decomp = spectral_decompose(model, grouping_tol)
-    split = _as_split(decomp, psi_d)
+    split = _as_split(decomp, psi_d, zero_threshold)
     s_op = EigenSurvivalOperator(decomp, split, tau)
-    config = compute_charges(decomp, split, tau, zero_threshold)
-    aliased = phase_aliasing(decomp, tau)
+    config = compute_charges(decomp, split, tau, split.zero_threshold)
     groups = _alias_groups(config)
-
-    darks = dark_states(decomp, split, tau)
-    darks += _cross_level_darks(split, config, groups)
-    effective = merged_charge_config(config, groups)
-    sp = stationary_points(effective, tie_tol=tie_tol)
-
-    zero_right = _phase_fix(decomp.vectors @ (np.conj(s_op.z) * s_op.c))
-    zero = EigenTriple(0.0 + 0.0j, zero_right, split.vector.copy(), KIND_ZERO)
-    triples = [zero]
+    darks = dark_states(decomp, split, tau) + _cross_level_darks(split, config, groups)
+    sp = stationary_points(merged_charge_config(config, groups))
     if sp.max_abs >= 1.0:
         raise NumericalFailureError(
             f"stationary point |xi| = {sp.max_abs:.6g} is not strictly inside "
             "the unit disk"
         )
-    disk_roots = [r for r in sp.roots if abs(r) >= ZERO_CLASS_TOL]
-    extra_zero = [r for r in sp.roots if abs(r) < ZERO_CLASS_TOL]
-    for r in extra_zero:
-        triples.append(EigenTriple(complex(r), zero.right, zero.left, KIND_ZERO))
-    disk = disk_eigenpairs(decomp, split, tau, disk_roots)
-    triples += disk
-    triples += darks
 
-    overlaps = [abs(np.vdot(t.left, t.right)) for t in disk]
-    min_biorth = float(min(overlaps)) if overlaps else 1.0
-    exceptional = (
-        bool(_coalesced_points(sp.roots)) or min_biorth < 1e-8 or bool(extra_zero)
-    )
+    zero_right = _phase_fix(decomp.vectors @ (np.conj(s_op.z) * s_op.c))
+    zero = EigenTriple(0.0 + 0.0j, zero_right, split.vector.copy(), KIND_ZERO)
+    # Roots at xi = 0 are the exact zeros stationary_points counted.
+    n_zero = sp.roots.count(0)
+    disk = disk_eigenpairs(decomp, split, tau, [r for r in sp.roots if r != 0])
+    min_biorth = float(min((abs(np.vdot(t.left, t.right)) for t in disk), default=1.0))
+    _, exceptional = _exceptional(sp.roots, min_biorth)
 
-    counts = (1 + len(extra_zero), len(disk), len(darks))
+    counts = (1 + n_zero, len(disk), len(darks))
     if not exceptional:
         w_eff = len(groups)
         expected = (1, w_eff - 1, decomp.dim - 1 - (w_eff - 1))
@@ -365,14 +332,14 @@ def full_spectrum(model, psi_d, tau, grouping_tol=None, tie_tol=DEFAULT_TIE_TOL,
                 f"spectrum partition {counts} does not match expected {expected}"
             )
     return SurvivalSpectrum(
-        tuple(triples),
+        tuple([zero] * (1 + n_zero) + disk + darks),
         counts,
         exceptional,
         min_biorth,
         operator=s_op,
         charge_config=config,
         stationary=sp,
-        aliased_level_pairs=aliased,
+        aliased_level_pairs=phase_aliasing(decomp, tau),
         alias_groups=groups,
     )
 

@@ -12,7 +12,7 @@ import pytest
 import nullsteer as ns
 from nullsteer import ConfigError
 from nullsteer.charges import COALESCENCE_TOL
-from nullsteer.cli import main, run_experiment
+from nullsteer.cli import _Runtime, main, run_experiment
 from nullsteer.configio import parse_config, resolve_state
 from nullsteer.csvio import read_csv
 from nullsteer.figures import FIGURES
@@ -464,6 +464,22 @@ def test_main_non_number_input_is_exit_2(tmp_path, capsys, key, payload):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, perturb", [
+    ("weak_index", {"scheme": "weak_charge", "weak_index": 7}),
+    ("weak_index", {"scheme": "weak_charge", "weak_index": -1}),
+    ("index_b", {"scheme": "two_merge", "index_a": 1, "index_b": 1}),
+    ("pair_indices", {"scheme": "triple_charge", "center_index": 1, "pair_indices": [1, 2]}),
+    ("pair_indices", {"scheme": "triple_charge", "center_index": 1, "pair_indices": [0, 0]}),
+    ("pair_indices", {"scheme": "triple_charge", "center_index": 1, "pair_indices": [0, 2, 2]}),
+], ids=["weak_index_past_the_levels", "weak_index_negative", "two_merge_same_level",
+        "triple_center_in_pair", "triple_pair_repeats", "triple_pair_of_three"])
+def test_main_bad_perturb_level_is_exit_2(tmp_path, capsys, key, perturb):
+    """Perturb level indices must name distinct levels of the run's model."""
+    cfg = _write(tmp_path, _chain_payload(experiment="perturb", perturb=perturb))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"perturb {key}" in capsys.readouterr().err
+
+
 def test_main_not_applicable_is_exit_2(tmp_path, capsys):
     cfg = _write(tmp_path, _chain_payload(
         experiment="perturb", perturb={"scheme": "zeno"}))
@@ -497,6 +513,59 @@ def test_main_numerical_failure_is_exit_4(tmp_path, capsys):
         experiment="charges", tolerances={"zero_threshold": 2.0}))
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
     assert "numerical failure" in capsys.readouterr().err
+
+
+def _weak_chain_payload(eps, **extra):
+    """The chain detected by normalized E_0 + E_1 + eps E_2."""
+    return _chain_payload(detection={"combination": [
+        {"energy_state": 0}, {"energy_state": 1}, {"weight": eps, "energy_state": 2}]},
+        **extra)
+
+
+@pytest.mark.parametrize("eps", [1e-7, 1e-9])
+def test_run_spectrum_of_a_weakly_coupled_level(tmp_path, eps):
+    cfg = _write(tmp_path, _weak_chain_payload(eps))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    _, rows = read_csv(tmp_path / "o" / "spectrum.csv")
+    assert [(r[0], r[4]) for r in rows] == [("zero", "-1"), ("disk", "-1"), ("circle", "2")]
+
+
+def test_run_spectrum_of_a_weakly_coupled_level_at_1e_5_is_exit_4(tmp_path, capsys):
+    cfg = _write(tmp_path, _weak_chain_payload(1e-5))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    assert "within 1e-10 of a unit-circle phase" in capsys.readouterr().err
+
+
+def test_energy_state_reads_the_configured_threshold(tmp_path, monkeypatch):
+    """A level the configured zero_threshold darkens resolves to its stored
+    eigenvector, the circle state the spectrum gives it, not to its bright
+    projection; and a figure builds its one detector split only."""
+    # p_2 is about 5e-7; the minus sign makes level 2's bright projection -E_2.
+    payload = _weak_chain_payload(-1e-3, experiment="evolve",
+                                  initial_state={"energy_state": [2, 0]})
+
+    def runtime(**tolerances):
+        return _Runtime(parse_config(json.dumps(dict(payload, tolerances=tolerances))))
+
+    bright, dark = runtime(), runtime(zero_threshold=1e-6)
+    stored = dark.decomp.levels[2].eigenvectors[:, 0]
+    np.testing.assert_allclose(bright.initial_state, -stored, atol=1e-12)
+    np.testing.assert_allclose(dark.initial_state, stored, atol=1e-12)
+    assert bright.spectrum(2.0).by_kind("circle") == []
+    (circle,) = dark.spectrum(2.0).by_kind("circle")
+    assert circle.source_level == 2
+    assert abs(np.vdot(circle.right, dark.initial_state)) == pytest.approx(1.0, abs=1e-12)
+
+    built = []
+    init = ns.DetectorSplit.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ns.DetectorSplit, "__init__", counting)
+    assert main(["reproduce", "fig9", "--out", str(tmp_path / "fig9")]) == 0
+    assert len(built) == 1
 
 
 def test_main_root_outside_the_disk_is_exit_4(tmp_path, capsys, monkeypatch):

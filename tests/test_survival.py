@@ -247,3 +247,73 @@ def test_random_unitary_survival_row(seed, tau):
     s = ns.build_survival(u, psi, tau=tau)
     assert np.max(np.abs(psi.conj() @ s.matrix)) < 1e-12
     assert np.linalg.norm(s.matrix @ (u.conj().T @ psi)) < 1e-12
+
+
+def _weak_chain_detector(decomp, eps):
+    """Normalized E_0 + E_1 + eps E_2 of the three-level chain."""
+    v = sum(w * decomp.levels[k].eigenvectors[:, 0] for k, w in enumerate((1.0, 1.0, eps)))
+    return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("eps", [1e-7, 1e-9])
+def test_weakly_coupled_level_is_one_dark_state(chain, eps):
+    # Level 2 carries p_2 ~ eps^2 / 2, at or below the zero threshold: the
+    # split calls it dark once, so it yields exactly one circle state.
+    model, decomp, _ = chain
+    spectrum = ns.full_spectrum(decomp, _weak_chain_detector(decomp, eps), 2.0)
+    assert spectrum.counts == (1, 1, 1)
+    assert not spectrum.exceptional_flag
+    p2 = spectrum.charge_config.charges[2].p
+    (dark,) = spectrum.by_kind("circle")
+    assert dark.source_level == 2
+    s = spectrum.operator.matrix
+    assert np.linalg.norm(s @ dark.right - dark.xi * dark.right) <= 2.0 * math.sqrt(p2)
+    assert ns.completeness_check(spectrum) <= 1e-8 + 2.0 * math.sqrt(p2)
+
+
+def test_weakly_coupled_level_at_1e_5_is_refused(chain):
+    # p_2 = 5e-11 is bright, and its root lies within 1e-10 of its phase.
+    _, decomp, _ = chain
+    with pytest.raises(RootTooCloseError):
+        ns.full_spectrum(decomp, _weak_chain_detector(decomp, 1e-5), 2.0)
+
+
+def _closure_groups(config):
+    """Reference: transitive closure of |z_i - z_j| < ALIAS_TOL, pair by pair."""
+    active = config.active_indices()
+    groups, used = [], set()
+    for i in active:
+        if i in used:
+            continue
+        group, grew = {i}, True
+        while grew:
+            near = {j for j in active if j not in group and any(
+                abs(config.charges[j].phase - config.charges[g].phase) < ns.survival.ALIAS_TOL
+                for g in group)}
+            group |= near
+            grew = bool(near)
+        used |= group
+        groups.append(tuple(sorted(group)))
+    return tuple(groups)
+
+
+def test_alias_groups_match_pairwise_closure():
+    d = 0.6e-10
+    energies = (
+        -math.pi + 0.2 * d, math.pi - 0.3 * d,   # one group across +-pi
+        1.0, 1.0 + d, 1.0 + 2.0 * d,             # a chain: ends 1.2e-10 apart
+        1.0 + 4.0 * d,                           # 1.2e-10 from the chain: alone
+        1.0 + 0.5 * d,                           # zero charge on the chain
+        -2.0, 2.5,
+    )
+    p = np.array([1, 1, 1, 1, 1, 1, 0, 1, 1], dtype=float)
+    config = ns.config_from_levels(energies, p / p.sum(), 1.0)
+    groups = ns.survival._alias_groups(config)
+    assert groups == ((0, 1), (2, 3, 4), (5,), (7,), (8,))
+    assert groups == _closure_groups(config)
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        e = rng.choice([-math.pi, 0.5, 3.0], size=12) + rng.integers(-3, 4, size=12) * d
+        p = rng.uniform(0.0, 1.0, size=12) * (rng.uniform(size=12) > 0.2)
+        config = ns.config_from_levels(e, p / p.sum(), 1.0)
+        assert ns.survival._alias_groups(config) == _closure_groups(config)
