@@ -52,6 +52,7 @@ from .charges import (
     detect_exceptional,
     energy_spread,
     field,
+    merged_charge_config,
     stationary_points,
     zeno_bound,
 )
@@ -66,8 +67,6 @@ from .survival import (
     dark_states,
     disk_eigenpairs,
     full_spectrum,
-    merged_charge_config,
-    phase_aliasing,
     zero_eigenpair,
 )
 from .evolution import (

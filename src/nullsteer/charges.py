@@ -7,12 +7,14 @@ F(xi) = sum_k p_k / (xi - z_k).  They are found as the eigenvalues of S on
 the bright subspace, the w x w matrix (I - b b^T) diag(z) with b = sqrt(p);
 roots at xi = 0 are counted from the charge moments and reported exact,
 and every other root gets a few Newton steps on F, all roots at once.
-Only the phases depend on tau: a ``DetectorSplit`` holds the rest
-(detector overlaps, charges, dark vectors) for every tau.
+Aliased charges (phases within ALIAS_TOL) act as one; ``stationary_points``
+merges them.  Only the phases depend on tau: a ``DetectorSplit`` holds the
+rest (detector overlaps, charges, dark vectors) for every tau.
 """
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import functools
 import math
@@ -33,6 +35,10 @@ ZERO_CHARGE_THRESHOLD = 1e-12
 #: Inside a bright level, members with a smaller detector overlap are dark as
 #: they stand; the others enter the Gram-Schmidt recursion.
 ORTHOGONALITY_TOL = 1e-10
+
+#: Unit-circle phases closer than this are aliased (distinct levels sharing
+#: one survival eigenvalue).
+ALIAS_TOL = 1e-10
 
 #: Default |xi| tie tolerance when collecting the dominant root set.
 DEFAULT_TIE_TOL = 1e-6
@@ -102,18 +108,21 @@ class StationaryPoints:
     can be far from 0 at a root exact to working precision.  A root counted
     at xi = 0 from the vanishing moments reports |F(0)| instead, and a root
     on a charge, or within its own Newton step of one, reports inf.
+
+    ``groups`` are the configuration's active charge indices grouped by
+    aliased phase (``_alias_groups``); w_eff is their number.
     """
 
     roots: tuple
     residuals: tuple
     max_abs: float
+    groups: tuple
 
 
 @dataclasses.dataclass(frozen=True)
 class ExceptionalReport:
     is_exceptional: bool
     coalesced_roots: tuple
-    min_biorthogonality: float
 
 
 def dark_combination_coeffs(alphas):
@@ -157,7 +166,8 @@ class DetectorSplit:
     dark vectors, the charge groups and ``energy_state`` members all read it.
     ``vector`` is the detection state, so a split may be passed wherever a
     detection state is expected; the functions taking (decomp, psi_d) read
-    from it when it belongs to their decomposition.
+    from it when it belongs to their decomposition.  Building a split is
+    the one way to set a threshold other than ZERO_CHARGE_THRESHOLD.
     """
 
     decomp: SpectralDecomposition
@@ -223,14 +233,12 @@ class DetectorSplit:
         return tuple(out)
 
 
-def _as_split(decomp, psi_d, zero_threshold=None):
-    """``psi_d`` when it is a split of ``decomp`` at ``zero_threshold`` (any
-    threshold for None), else a new split of it."""
-    if (isinstance(psi_d, DetectorSplit) and psi_d.decomp is decomp
-            and zero_threshold in (None, psi_d.zero_threshold)):
+def _as_split(decomp, psi_d):
+    """``psi_d`` when it is a split of ``decomp``, else a new split of it at
+    the default threshold."""
+    if isinstance(psi_d, DetectorSplit) and psi_d.decomp is decomp:
         return psi_d
-    return DetectorSplit(decomp, psi_d, ZERO_CHARGE_THRESHOLD if zero_threshold is None
-                         else zero_threshold)
+    return DetectorSplit(decomp, psi_d)
 
 
 def config_from_levels(energies, charge_values, tau, zero_threshold=ZERO_CHARGE_THRESHOLD):
@@ -242,14 +250,53 @@ def config_from_levels(energies, charge_values, tau, zero_threshold=ZERO_CHARGE_
     return ChargeConfiguration(float(tau), charges_, float(zero_threshold))
 
 
-def charges(decomp, psi_d, tau, zero_threshold=None):
+def charges(decomp, psi_d, tau):
     """Charge of every level of the decomposition at sampling time tau.
 
     The configuration carries the split's ``zero_threshold`` (that of a
-    split ``psi_d`` when None), so its active charges are its bright levels.
+    split ``psi_d``), so its active charges are its bright levels.
     """
-    split = _as_split(decomp, psi_d, zero_threshold)
+    split = _as_split(decomp, psi_d)
     return config_from_levels(decomp.energies, split.p, tau, split.zero_threshold)
+
+
+def _alias_groups(config):
+    """Groups of active charge indices whose phases chain within ALIAS_TOL.
+
+    The phases are sorted by angle and cut wherever two neighbors lie at
+    least ALIAS_TOL apart, the last and first neighbors across +-pi
+    included; groups run by their smallest index.
+    """
+    active = config.active_indices()
+    z = [config.charges[i].phase for i in active]
+    order = sorted(range(len(z)), key=lambda j: cmath.phase(z[j]))
+    cuts = [n for n in range(1, len(order)) if abs(z[order[n]] - z[order[n - 1]]) >= ALIAS_TOL]
+    runs = [order[i:j] for i, j in zip([0] + cuts, cuts + [len(order)])]
+    if len(runs) > 1 and abs(z[order[-1]] - z[order[0]]) < ALIAS_TOL:
+        runs[0] += runs.pop()
+    return tuple(sorted(tuple(sorted(active[j] for j in r)) for r in runs if r))
+
+
+def merged_charge_config(config, groups=None):
+    """Aliased active charges merged into single effective charges.
+
+    ``groups`` is ``_alias_groups(config)``, computed here when not given.
+    """
+    if groups is None:
+        groups = _alias_groups(config)
+    if all(len(g) == 1 for g in groups):
+        return config
+    merged = []
+    for g in groups:
+        p = sum(config.charges[i].p for i in g)
+        phase = sum(config.charges[i].p * config.charges[i].phase for i in g) / p
+        phase = phase / abs(phase)
+        energy = sum(config.charges[i].p * config.charges[i].energy for i in g) / p
+        merged.append(Charge(p, energy, phase))
+    grouped = {i for g in groups for i in g}
+    inert = [c for i, c in enumerate(config.charges) if i not in grouped]
+    # Zero charges are kept for the normalization invariant.
+    return ChargeConfiguration(config.tau, tuple(merged) + tuple(inert), config.zero_threshold)
 
 
 def _active_arrays(config):
@@ -301,9 +348,9 @@ def _refine_roots(p, z, xis):
 
     Each root keeps its iterate of least |F| and reports the Newton step
     |F/F'| there as its residual.  A root whose step is not small against
-    its distance to the nearest charge is that charge (aliased phases left
-    unmerged), not a root: next to a pole |F/F'| is the distance to it.
-    Such a root keeps its place with residual inf.
+    its distance to the nearest charge is that charge, not a root: next to
+    a pole |F/F'| is the distance to it.  Such a root keeps its place with
+    residual inf.
     """
     best = x = xis
     least = step = np.full(xis.shape, math.inf)
@@ -323,15 +370,18 @@ def _refine_roots(p, z, xis):
 def stationary_points(config):
     """All stationary points of the charge field, polished to full precision.
 
-    On the bright subspace, spanned by the normalized level projections of
-    the detector, S is the w x w matrix S_B = (I - b b^T) diag(z) with
-    b = sqrt(p) and z the charge phases.  Its eigenvalues are xi = 0, whose
-    right vector is conj(z) b, and the w - 1 stationary points.  The
-    stationary points at xi = 0, counted from the vanishing charge moments,
-    are reported as exact zeros rather than the 1e-8 cloud an eigensolver
-    gives for a defective matrix; the others get a few Newton steps on F.
+    Aliased charges are merged first (``merged_charge_config``), so callers
+    pass ``config`` as it stands.  On the bright subspace, spanned by the
+    normalized level projections of the detector, S is the w x w matrix
+    S_B = (I - b b^T) diag(z) with b = sqrt(p) and z the charge phases.
+    Its eigenvalues are xi = 0, whose right vector is conj(z) b, and the
+    w - 1 stationary points.  The stationary points at xi = 0, counted from
+    the vanishing charge moments, are reported as exact zeros rather than
+    the 1e-8 cloud an eigensolver gives for a defective matrix; the others
+    get a few Newton steps on F.
     """
-    p, z = _active_arrays(config)
+    groups = _alias_groups(config)
+    p, z = _active_arrays(merged_charge_config(config, groups))
     if not p.size:
         raise NoBrightSubspaceError(
             "all charges are zero: the detection state is fully dark"
@@ -351,7 +401,7 @@ def stationary_points(config):
     roots = tuple(r for r, _ in polished)
     residuals = tuple(e for _, e in polished)
     max_abs = max((abs(r) for r in roots), default=0.0)
-    return StationaryPoints(roots, residuals, max_abs)
+    return StationaryPoints(roots, residuals, max_abs, groups)
 
 
 def energy_spread(decomp):
@@ -378,27 +428,19 @@ def zeno_bound(decomp, tau):
     return bound, t_b, t_b / tau
 
 
-def _exceptional(roots, min_biorth):
-    """The exceptional-point test: (coalesced points, flag).
-
-    Each of ``roots`` and xi = 0 within COALESCENCE_TOL of a later one has
-    coalesced; the flag is set by any coalescence or by a smallest disk
-    biorthogonal overlap ``min_biorth`` below COALESCENCE_TOL (not by nan).
-    """
+def _coalesced(roots):
+    """Each of ``roots`` and xi = 0 that lies within COALESCENCE_TOL of a
+    later one: the coalesced points of the exceptional-point test."""
     pts = np.append(np.asarray(roots, dtype=complex), 0j)
     close = np.triu(np.abs(pts[:, None] - pts) < COALESCENCE_TOL, 1)
-    coalesced = [complex(pts[i]) for i in np.nonzero(close)[0]]
-    return coalesced, bool(coalesced) or min_biorth < COALESCENCE_TOL
+    return tuple(complex(pts[i]) for i in np.nonzero(close)[0])
 
 
-def detect_exceptional(config, spectrum_hint=None):
+def detect_exceptional(config):
     """Flag configurations whose stationary points coalesce.
 
     Coalescence is tested among all stationary points plus the ever-present
-    xi = 0; when a spectrum is supplied its minimum disk biorthogonal
-    overlap is also consulted.
+    xi = 0, after aliased charges are merged.
     """
-    disk = spectrum_hint.by_kind("disk") if spectrum_hint is not None else ()
-    min_biorth = float(min((abs(np.vdot(t.left, t.right)) for t in disk), default=math.nan))
-    coalesced, is_exceptional = _exceptional(stationary_points(config).roots, min_biorth)
-    return ExceptionalReport(is_exceptional, tuple(coalesced), min_biorth)
+    coalesced = _coalesced(stationary_points(config).roots)
+    return ExceptionalReport(bool(coalesced), coalesced)

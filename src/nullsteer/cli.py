@@ -58,7 +58,7 @@ from .perturbation import (
     weak_charge_estimate,
     zeno_time_estimate,
 )
-from .survival import EigenSurvivalOperator, full_spectrum, merged_charge_config
+from .survival import EigenSurvivalOperator, full_spectrum
 from .svgplot import SvgFigure
 
 
@@ -74,34 +74,28 @@ class _Runtime:
         self.config = config
         self.grouping_tol = tols.get("grouping_tol")
         self.tie_tol = tols.get("tie_tol", DEFAULT_TIE_TOL)
-        self.zero_threshold = tols.get("zero_threshold", ZERO_CHARGE_THRESHOLD)
         self.dark_overlap_tol = tols.get("dark_overlap_tol", DEFAULT_DARK_OVERLAP_TOL)
         self.model = build_model(config)
         self.decomp = spectral_decompose(self.model, self.grouping_tol)
         self.psi_d = resolve_detection(config, self.model, self.decomp)
-        self.split = DetectorSplit(self.decomp, self.psi_d, self.zero_threshold)
+        self.split = DetectorSplit(self.decomp, self.psi_d,
+                                   tols.get("zero_threshold", ZERO_CHARGE_THRESHOLD))
 
     @functools.cached_property
     def initial_state(self):
         # Resolved once per run: the state is the same at every tau.
         if self.config.initial_state is None:
             return None
-        return resolve_state(self.config.initial_state, self.model, self.decomp,
-                             self.split, self.config.tau_values[0])
+        return resolve_state(self.config.initial_state, self.model, self.decomp, self.split)
 
     def spectrum(self, tau):
         return full_spectrum(self.decomp, self.split, tau)
-
-    def charge_config(self, tau):
-        return compute_charges(
-            self.decomp, self.split, tau, zero_threshold=self.zero_threshold
-        )
 
     def resolved_tolerances(self):
         return {
             "grouping_tol": self.decomp.grouping_tol,
             "tie_tol": self.tie_tol,
-            "zero_threshold": self.zero_threshold,
+            "zero_threshold": self.split.zero_threshold,
             "dark_overlap_tol": self.dark_overlap_tol,
         }
 
@@ -131,7 +125,7 @@ def _run_spectrum(rt, out_dir):
 
 def _run_charges(rt, out_dir):
     tau = rt.config.tau_values[0]
-    config = rt.charge_config(tau)
+    config = compute_charges(rt.decomp, rt.split, tau)
     charge_rows = [
         (c.energy, c.p, float(c.phase.real), float(c.phase.imag))
         for c in config.charges
@@ -139,7 +133,7 @@ def _run_charges(rt, out_dir):
     charges_path = os.path.join(out_dir, "charges.csv")
     write_csv(charges_path, ("E_k", "p_k", "re_phase", "im_phase"), charge_rows)
 
-    sp = stationary_points(merged_charge_config(config))
+    sp = stationary_points(config)
     root_rows = [
         (
             float(r.real),
@@ -198,12 +192,9 @@ def _regime_summary(rt, tau):
     regime = classify_regime(
         spectrum, psi_in, tie_tol=rt.tie_tol, dark_overlap_tol=rt.dark_overlap_tol
     )
-    try:
-        crossover = crossover_step(
-            spectrum, psi_in, tie_tol=rt.tie_tol, dark_overlap_tol=rt.dark_overlap_tol
-        )
-    except NullsteerError:
-        crossover = None
+    crossover = crossover_step(
+        spectrum, psi_in, tie_tol=rt.tie_tol, dark_overlap_tol=rt.dark_overlap_tol
+    )
     return spectrum, regime, crossover
 
 
@@ -266,12 +257,10 @@ def _sweep_row(rt, tau):
     # the roots and the charge groups, so they are not solved twice.
     kind = ""
     if rt.config.initial_state is None:
-        merged = merged_charge_config(rt.charge_config(tau))
-        sp = stationary_points(merged)
-        w_eff = len(merged.active())
+        sp = stationary_points(compute_charges(rt.decomp, rt.split, tau))
     else:
         spectrum = rt.spectrum(tau)
-        sp, w_eff = spectrum.stationary, len(spectrum.alias_groups)
+        sp = spectrum.stationary
         kind = classify_regime(
             spectrum, rt.initial_state, tie_tol=rt.tie_tol,
             dark_overlap_tol=rt.dark_overlap_tol,
@@ -280,7 +269,7 @@ def _sweep_row(rt, tau):
     top = mods[0] if mods else float("nan")
     second = mods[1] if len(mods) > 1 else float("nan")
     lead = sp.roots[0] if sp.roots else 0j
-    n_circle = rt.model.dim - w_eff
+    n_circle = rt.model.dim - len(sp.groups)
     try:
         bound = zeno_bound(rt.decomp, tau)[0]
     except BoundNotApplicableError:
@@ -308,7 +297,7 @@ def _run_perturb(rt, out_dir):
     tau = rt.config.tau_values[0]
     options = rt.config.perturb
     scheme = options["scheme"]
-    config = rt.charge_config(tau)
+    config = compute_charges(rt.decomp, rt.split, tau)
     for key in ("weak_index", "index_a", "index_b", "center_index", "pair_indices"):
         if not all(0 <= i < len(config.charges) for i in np.ravel(options.get(key, []))):
             raise ConfigError(f"perturb {key} must name levels 0..{len(config.charges) - 1}")
@@ -335,7 +324,7 @@ def _run_perturb(rt, out_dir):
     compare = bool(options.get("compare_exact", False))
     exact_roots = []
     if compare:
-        exact_roots = list(stationary_points(merged_charge_config(config)).roots)
+        exact_roots = list(stationary_points(config).roots)
 
     rows = []
     for xi in est.xi_estimates:
@@ -444,7 +433,7 @@ def _figure_columns(fig):
     for _, _, state, tau, *site in fig["columns"]:
         key = (json.dumps(state), tau)
         if key not in trajectories:
-            psi_in = resolve_state(state, rt.model, rt.decomp, rt.split, tau)
+            psi_in = resolve_state(state, rt.model, rt.decomp, rt.split)
             S = EigenSurvivalOperator(rt.decomp, rt.split, tau)
             trajectories[key] = evolve(S, psi_in, fig["n_steps"])
         traj = trajectories[key]

@@ -322,7 +322,7 @@ def _vector_from_spec(spec, dim):
     return re + 1j * im
 
 
-def aligned_member(decomp, psi_d, tau, level_index, member_index):
+def aligned_member(decomp, psi_d, level_index, member_index):
     """Resolve [k, l] with member 0 = bright projection, 1.. = dark combos.
 
     ``psi_d`` may be a DetectorSplit of ``decomp``; its threshold then
@@ -333,7 +333,7 @@ def aligned_member(decomp, psi_d, tau, level_index, member_index):
             f"energy_state level {level_index} out of range 0..{decomp.w - 1}"
         )
     level = decomp.levels[level_index]
-    if psi_d is not None and tau is not None:
+    if psi_d is not None:
         split = _as_split(decomp, psi_d)
         if level_index in split.bright_levels:
             darks = [v for k, v in split.darks if k == level_index]
@@ -352,7 +352,7 @@ def aligned_member(decomp, psi_d, tau, level_index, member_index):
     return level.eigenvectors[:, member_index].copy()
 
 
-def resolve_state(spec, model, decomp, psi_d=None, tau=None):
+def resolve_state(spec, model, decomp, psi_d=None):
     """Turn a state spec into a unit vector in the model basis."""
     if "site" in spec:
         try:
@@ -368,7 +368,7 @@ def resolve_state(spec, model, decomp, psi_d=None, tau=None):
     if "energy_state" in spec:
         ks = spec["energy_state"]
         k, l = (ks, 0) if isinstance(ks, int) else ks
-        return aligned_member(decomp, psi_d, tau, k, l)
+        return aligned_member(decomp, psi_d, k, l)
     total = np.zeros(model.dim, dtype=complex)
     for term in spec["combination"]:
         weight = term.get("weight", 1.0)
@@ -378,7 +378,7 @@ def resolve_state(spec, model, decomp, psi_d=None, tau=None):
         if not (_is_number(re) and _is_number(im)):
             raise ConfigError("combination weight must be a number or {re, im}")
         inner = {key: v for key, v in term.items() if key != "weight"}
-        total += complex(re, im) * resolve_state(inner, model, decomp, psi_d, tau)
+        total += complex(re, im) * resolve_state(inner, model, decomp, psi_d)
     norm = np.linalg.norm(total)
     if norm < 1e-12:
         raise ConfigError("combination sums to the zero vector")

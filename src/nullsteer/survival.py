@@ -15,18 +15,16 @@ oracles for tests.
 
 from __future__ import annotations
 
-import cmath
 import dataclasses
 import functools
 
 import numpy as np
 
 from .charges import (
-    Charge,
-    ChargeConfiguration,
+    COALESCENCE_TOL,
     _as_split,
+    _coalesced,
     _dark_combinations,
-    _exceptional,
     charges as compute_charges,
     stationary_points,
 )
@@ -37,10 +35,6 @@ from .errors import (
     RootTooCloseError,
 )
 from .models import SpectralDecomposition, _phase_fix, as_vector, spectral_decompose
-
-#: Unit-circle phases closer than this are aliased (distinct levels sharing
-#: one survival eigenvalue).
-ALIAS_TOL = 1e-10
 
 KIND_ZERO = "zero"
 KIND_DISK = "disk"
@@ -121,8 +115,8 @@ class EigenTriple:
 class SurvivalSpectrum:
     """Complete classified eigensystem of one survival operator.
 
-    ``alias_groups`` are the charged levels grouped by shared phase (see
-    ``_alias_groups``); their number is w_eff, the count of distinct charges.
+    ``stationary.groups`` are the charged levels grouped by shared phase;
+    their number is w_eff, the count of distinct charges.
     """
 
     triples: tuple
@@ -132,8 +126,6 @@ class SurvivalSpectrum:
     operator: EigenSurvivalOperator = None
     charge_config: object = None
     stationary: object = None
-    aliased_level_pairs: tuple = ()
-    alias_groups: tuple = ()
 
     def by_kind(self, kind):
         return [t for t in self.triples if t.kind == kind]
@@ -149,13 +141,6 @@ def build_survival(U, psi_d, tau=None, source_decomp=None):
         raise InvalidParameterError("U must be unitary")
     s = U - np.outer(psi, psi.conj() @ U)
     return SurvivalOperator(s, tau=tau, detection=psi_d, source_decomp=source_decomp)
-
-
-def phase_aliasing(decomp, tau, tol=ALIAS_TOL):
-    """Pairs (k, k') of distinct levels sharing a circle phase at this tau."""
-    phases = np.exp(-1j * decomp.energies * tau)
-    close = np.triu(np.abs(phases[:, None] - phases[None, :]) < tol, 1)
-    return tuple((int(i), int(j)) for i, j in zip(*np.nonzero(close)))
 
 
 def dark_states(decomp, psi_d, tau):
@@ -178,7 +163,7 @@ def _cross_level_darks(split, config, groups):
     """Extra circle states when distinct bright levels alias in phase.
 
     Bright states of levels sharing one phase (the ``groups`` of
-    ``_alias_groups(config)``) support combinations with zero detector
+    ``stationary_points(config)``) support combinations with zero detector
     weight; the same recursion applies with alphas sqrt(p).
     """
     triples = []
@@ -194,53 +179,10 @@ def _cross_level_darks(split, config, groups):
     return triples
 
 
-def _alias_groups(config):
-    """Groups of active charge indices whose phases chain within ALIAS_TOL.
-
-    The phases are sorted by angle and cut wherever two neighbors lie at
-    least ALIAS_TOL apart, the last and first neighbors across +-pi
-    included; groups run by their smallest index.
-    """
-    active = config.active_indices()
-    z = [config.charges[i].phase for i in active]
-    order = sorted(range(len(z)), key=lambda j: cmath.phase(z[j]))
-    cuts = [n for n in range(1, len(order)) if abs(z[order[n]] - z[order[n - 1]]) >= ALIAS_TOL]
-    runs = [order[i:j] for i, j in zip([0] + cuts, cuts + [len(order)])]
-    if len(runs) > 1 and abs(z[order[-1]] - z[order[0]]) < ALIAS_TOL:
-        runs[0] += runs.pop()
-    return tuple(sorted(tuple(sorted(active[j] for j in r)) for r in runs if r))
-
-
-def merged_charge_config(config, groups=None):
-    """Aliased active charges merged into single effective charges.
-
-    ``groups`` is ``_alias_groups(config)``, computed here when not given.
-    """
-    if groups is None:
-        groups = _alias_groups(config)
-    if all(len(g) == 1 for g in groups):
-        return config
-    merged = []
-    for g in groups:
-        p = sum(config.charges[i].p for i in g)
-        phase = sum(config.charges[i].p * config.charges[i].phase for i in g) / p
-        phase = phase / abs(phase)
-        energy = sum(config.charges[i].p * config.charges[i].energy for i in g) / p
-        merged.append(Charge(p, energy, phase))
-    grouped = {i for g in groups for i in g}
-    inert = [c for i, c in enumerate(config.charges) if i not in grouped]
-    # Zero charges are kept for the normalization invariant.
-    return ChargeConfiguration(
-        config.tau, tuple(merged) + tuple(inert), config.zero_threshold
-    )
-
-
-def bright_states(decomp, psi_d, zero_threshold=None):
-    """(level index, normalized projected detector) for each bright level.
-
-    ``zero_threshold`` None keeps the threshold of a split ``psi_d``.
-    """
-    split = _as_split(decomp, psi_d, zero_threshold)
+def bright_states(decomp, psi_d):
+    """(level index, normalized projected detector) for each bright level
+    (of a split ``psi_d``, by its threshold)."""
+    split = _as_split(decomp, psi_d)
     return [(int(k), split.bright(k)) for k in split.bright_levels]
 
 
@@ -258,15 +200,21 @@ def disk_eigenpairs(decomp, psi_d, tau, roots):
     right ~ (xi - U)^-1 |psi_d> = V (c / (xi - z)) and
     left ~ (conj(xi) - U^dag)^-1 U^dag |psi_d> = V (conj(z) c / (conj(xi) - conj(z))),
     each root one column of a single product with V.  Roots within 1e-10 of
-    any level phase are refused: the resolvent is singular there.
+    any level phase are refused: the resolvent is singular there.  The
+    message names the level and its charge, since a zero_threshold at or
+    above that charge makes the level dark and its root goes.
     """
-    s = EigenSurvivalOperator(decomp, psi_d, tau)
+    split = _as_split(decomp, psi_d)
+    s = EigenSurvivalOperator(decomp, split, tau)
     c, z = s.c, s.z
     xis = np.array([complex(xi) for xi in roots], dtype=complex)
-    close = np.min(np.abs(xis[:, None] - z), axis=1) < 1e-10
-    if close.any():
+    close = np.argwhere(np.abs(xis[:, None] - np.exp(-1j * decomp.energies * tau)) < 1e-10)
+    if close.size:
+        i, k = close[0]
         raise RootTooCloseError(
-            f"root {xis[close][0]:.6g} is within 1e-10 of a unit-circle phase"
+            f"root {xis[i]:.6g} is within 1e-10 of a unit-circle phase, that of "
+            f"level {k} with charge {split.p[k]:.3g}; a zero_threshold at or above "
+            "that charge treats the level as dark"
         )
     zc = np.conj(z)[:, None]
     rights = decomp.vectors @ (c[:, None] / (xis - z[:, None]))
@@ -279,16 +227,16 @@ def disk_eigenpairs(decomp, psi_d, tau, roots):
     ]
 
 
-def full_spectrum(model, psi_d, tau, grouping_tol=None, zero_threshold=None):
+def full_spectrum(model, psi_d, tau, grouping_tol=None):
     """Assemble and classify the complete eigensystem of S.
 
     ``model`` is a HermitianModel, decomposed here with ``grouping_tol``, or
     an existing SpectralDecomposition, which is used as it stands.
     ``psi_d`` may be a DetectorSplit of that decomposition: a tau sweep
     then reuses its overlaps, charges and dark vectors, and only the
-    phases, the stationary points and the disk vectors are redone.
-    ``zero_threshold`` is the charge at or below which a level counts as
-    dark (None keeps the threshold of a split ``psi_d``).
+    phases, the stationary points and the disk vectors are redone.  The
+    split's threshold decides which levels are dark (the default one for a
+    plain detection state).
     Non-exceptional spectra satisfy the count partition
     dim = 1 + (number of distinct charged phases - 1) + circle states.
     Total coalescence at 0 (and any stationary-point coalescence or loss of
@@ -303,12 +251,11 @@ def full_spectrum(model, psi_d, tau, grouping_tol=None, zero_threshold=None):
         decomp = model
     else:
         decomp = spectral_decompose(model, grouping_tol)
-    split = _as_split(decomp, psi_d, zero_threshold)
+    split = _as_split(decomp, psi_d)
     s_op = EigenSurvivalOperator(decomp, split, tau)
-    config = compute_charges(decomp, split, tau, split.zero_threshold)
-    groups = _alias_groups(config)
-    darks = dark_states(decomp, split, tau) + _cross_level_darks(split, config, groups)
-    sp = stationary_points(merged_charge_config(config, groups))
+    config = compute_charges(decomp, split, tau)
+    sp = stationary_points(config)
+    darks = dark_states(decomp, split, tau) + _cross_level_darks(split, config, sp.groups)
     if sp.max_abs >= 1.0:
         raise NumericalFailureError(
             f"stationary point |xi| = {sp.max_abs:.6g} is not strictly inside "
@@ -321,11 +268,11 @@ def full_spectrum(model, psi_d, tau, grouping_tol=None, zero_threshold=None):
     n_zero = sp.roots.count(0)
     disk = disk_eigenpairs(decomp, split, tau, [r for r in sp.roots if r != 0])
     min_biorth = float(min((abs(np.vdot(t.left, t.right)) for t in disk), default=1.0))
-    _, exceptional = _exceptional(sp.roots, min_biorth)
+    exceptional = bool(_coalesced(sp.roots)) or min_biorth < COALESCENCE_TOL
 
     counts = (1 + n_zero, len(disk), len(darks))
     if not exceptional:
-        w_eff = len(groups)
+        w_eff = len(sp.groups)
         expected = (1, w_eff - 1, decomp.dim - 1 - (w_eff - 1))
         if counts != expected:
             raise NumericalFailureError(
@@ -339,8 +286,6 @@ def full_spectrum(model, psi_d, tau, grouping_tol=None, zero_threshold=None):
         operator=s_op,
         charge_config=config,
         stationary=sp,
-        aliased_level_pairs=phase_aliasing(decomp, tau),
-        alias_groups=groups,
     )
 
 

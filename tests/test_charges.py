@@ -11,7 +11,7 @@ from nullsteer import (
     NoBrightSubspaceError,
     PoleError,
 )
-from nullsteer.charges import DEFAULT_TIE_TOL
+from nullsteer.charges import DEFAULT_TIE_TOL, _refine_roots
 
 from helpers import dense_eigenvalues, match_eigenvalues
 
@@ -280,11 +280,31 @@ def test_wide_charge_residuals_are_position_errors(w, levels):
 
 
 def test_root_at_an_unmerged_aliased_phase_reads_inf():
-    """Next to a pole |F/F'| is the distance to it: that 'root' is the pole."""
-    sp = ns.stationary_points(ns.config_from_levels((0.0, 0.0, 1.0), (0.3, 0.3, 0.4), 1.0))
-    spurious = [res for r, res in zip(sp.roots, sp.residuals) if abs(r - 1.0) < 1e-12]
-    assert spurious == [math.inf]
-    assert all(res < 1e-14 for r, res in zip(sp.roots, sp.residuals) if abs(r - 1.0) >= 1e-12)
+    """Aliased charges are merged before the solve, so no root sits at their
+    shared phase; the pole guard stays: next to a pole |F/F'| is the distance
+    to it, so a start on a charge is that charge and reads inf."""
+    config = ns.config_from_levels((0.0, 0.0, 1.0), (0.3, 0.3, 0.4), 1.0)
+    sp = ns.stationary_points(config)
+    merged = ns.stationary_points(ns.merged_charge_config(config))
+    assert sp.groups == ((0, 1), (2,))
+    assert merged.groups == ((0,), (1,))
+    assert len(sp.roots) == 1
+    assert sp.roots == merged.roots and sp.residuals == merged.residuals
+    assert sp.residuals[0] < 1e-14
+    p = np.array([0.3, 0.3, 0.4])
+    z = np.exp(-1j * np.array([0.0, 0.0, 1.0]))
+    _, residuals = _refine_roots(p, z, np.array([1.0, 1.0 + 1e-12, sp.roots[0]]))
+    assert residuals[0] == residuals[1] == math.inf
+    assert residuals[2] < 1e-14
+
+
+def test_three_charges_at_one_phase_have_no_roots():
+    third = 1.0 / 3.0
+    config = ns.config_from_levels((0.0, 2.0 * math.pi, 4.0 * math.pi), (third,) * 3, 1.0)
+    sp = ns.stationary_points(config)
+    assert sp.roots == ()
+    assert sp.groups == ((0, 1, 2),)
+    assert not ns.detect_exceptional(config).is_exceptional
 
 
 def test_wide_charge_disk_roots_match_dense_s():

@@ -134,26 +134,26 @@ def test_resolve_energy_state_plain(chain):
     bare = resolve_state({"energy_state": [1, 0]}, model, decomp)
     assert np.allclose(bare, decomp.levels[1].eigenvectors[:, 0])
     # with a detector, member 0 is the bright projection (same ray here)
-    aligned = resolve_state({"energy_state": 1}, model, decomp, psi_d, 2.0)
+    aligned = resolve_state({"energy_state": 1}, model, decomp, psi_d)
     assert abs(abs(np.vdot(aligned, bare)) - 1.0) < 1e-12
     with pytest.raises(ConfigError, match="out of range"):
-        resolve_state({"energy_state": 5}, model, decomp, psi_d, 2.0)
+        resolve_state({"energy_state": 5}, model, decomp, psi_d)
     with pytest.raises(ConfigError, match="out of range"):
-        resolve_state({"energy_state": [1, 1]}, model, decomp, psi_d, 2.0)
+        resolve_state({"energy_state": [1, 1]}, model, decomp, psi_d)
 
 
 def test_resolve_energy_state_detector_aligned(tree):
     model, decomp, psi_d = tree
     config = ns.charges(decomp, psi_d, 1.1)
-    bright = resolve_state({"energy_state": [2, 0]}, model, decomp, psi_d, 1.1)
+    bright = resolve_state({"energy_state": [2, 0]}, model, decomp, psi_d)
     assert abs(abs(np.vdot(psi_d, bright)) - math.sqrt(config.charges[2].p)) < 1e-12
-    dark = resolve_state({"energy_state": [2, 1]}, model, decomp, psi_d, 1.1)
+    dark = resolve_state({"energy_state": [2, 1]}, model, decomp, psi_d)
     assert abs(np.vdot(psi_d, dark)) < 1e-12
     assert abs(np.vdot(bright, dark)) < 1e-10
     with pytest.raises(ConfigError, match="out of range"):
-        resolve_state({"energy_state": [2, 3]}, model, decomp, psi_d, 1.1)
+        resolve_state({"energy_state": [2, 3]}, model, decomp, psi_d)
     # zero-charge levels fall back to their stored eigenvectors
-    inactive = resolve_state({"energy_state": [1, 0]}, model, decomp, psi_d, 1.1)
+    inactive = resolve_state({"energy_state": [1, 0]}, model, decomp, psi_d)
     assert np.allclose(inactive, decomp.levels[1].eigenvectors[:, 0])
 
 
@@ -533,7 +533,11 @@ def test_run_spectrum_of_a_weakly_coupled_level(tmp_path, eps):
 def test_run_spectrum_of_a_weakly_coupled_level_at_1e_5_is_exit_4(tmp_path, capsys):
     cfg = _write(tmp_path, _weak_chain_payload(1e-5))
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
-    assert "within 1e-10 of a unit-circle phase" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "within 1e-10 of a unit-circle phase" in err
+    # The message names the level to darken and the threshold that does it.
+    assert "level 2 with charge 5e-11" in err
+    assert "zero_threshold at or above" in err
 
 
 def test_energy_state_reads_the_configured_threshold(tmp_path, monkeypatch):

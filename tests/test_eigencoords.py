@@ -42,6 +42,15 @@ def _write(tmp_path, payload):
     return str(path)
 
 
+def _patch_everywhere(monkeypatch, original, replacement):
+    """Put ``replacement`` at every nullsteer module attribute naming ``original``."""
+    for name, module in list(sys.modules.items()):
+        if name == "nullsteer" or name.startswith("nullsteer."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, replacement)
+
+
 def _count_calls(monkeypatch, original):
     """Record the (args, kwargs) of every call of a module-level function,
     under every nullsteer alias."""
@@ -51,11 +60,7 @@ def _count_calls(monkeypatch, original):
         calls.append((args, kwargs))
         return original(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name == "nullsteer" or name.startswith("nullsteer."):
-            for key, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, key, counted)
+    _patch_everywhere(monkeypatch, original, counted)
     return calls
 
 
@@ -288,16 +293,22 @@ def test_split_circle_states_solve_dense_s(tree):
 
 
 def test_configured_zero_threshold_reaches_every_charge_call(tmp_path, monkeypatch):
-    calls = _count_calls(monkeypatch, ns.charges)
+    configs = []
+    original = ns.charges
+
+    def recorded(*args, **kwargs):
+        configs.append(original(*args, **kwargs))
+        return configs[-1]
+
+    _patch_everywhere(monkeypatch, original, recorded)
     threshold = 1e-11
     assert threshold != ZERO_CHARGE_THRESHOLD
     for experiment, tau in (("spectrum", 1.3), ("regime", 1.3),
                             ("sweep-tau", {"start": 0.5, "stop": 2.5, "steps": 4})):
         payload = _tree_payload(4, tau, experiment, tolerances={"zero_threshold": threshold})
-        calls.clear()
+        configs.clear()
         run_experiment(_write(tmp_path, payload), str(tmp_path / experiment))
-        seen = [kw.get("zero_threshold", args[3] if len(args) > 3 else ZERO_CHARGE_THRESHOLD)
-                for args, kw in calls]
+        seen = [config.zero_threshold for config in configs]
         assert seen and all(t == threshold for t in seen), (experiment, seen)
 
 

@@ -11,6 +11,7 @@ from nullsteer import (
     NumericalFailureError,
     RootTooCloseError,
 )
+from nullsteer.charges import ALIAS_TOL, _alias_groups
 
 from helpers import (
     dense_eigenvalues,
@@ -170,17 +171,30 @@ def test_bright_states(chain, tree):
 
 def test_phase_aliasing_two_level(two_level):
     model, decomp, psi_d = two_level
-    assert ns.phase_aliasing(decomp, 0.7) == ()
-    assert ns.phase_aliasing(decomp, math.pi) == ((0, 1),)
+    assert ns.full_spectrum(model, psi_d, 0.7).stationary.groups == ((0,), (1,))
     spectrum = ns.full_spectrum(model, psi_d, math.pi)
     assert spectrum.counts == (1, 0, 1)
-    assert spectrum.aliased_level_pairs == ((0, 1),)
+    assert spectrum.stationary.groups == ((0, 1),)
     circle = spectrum.by_kind("circle")[0]
     assert circle.source_level is None  # cross-level combination
     assert abs(np.vdot(psi_d, circle.right)) < 1e-12
     merged = ns.merged_charge_config(ns.charges(decomp, psi_d, math.pi))
     assert len(merged.active()) == 1
     assert abs(merged.active()[0].p - 1.0) < 1e-12
+
+
+def test_aliased_phases_are_not_an_exceptional_point():
+    # Levels 0, 2 pi and 4 pi share the phase 1 at tau = 1: one merged
+    # charge, whose duplicate roots at that phase are no coalescence.
+    model = ns.build_custom(np.diag([0.0, 2.0 * math.pi, 4.0 * math.pi, 1.0]))
+    decomp = ns.spectral_decompose(model)
+    psi_d = np.full(4, 0.5)
+    spectrum = ns.full_spectrum(decomp, psi_d, 1.0)
+    assert spectrum.counts == (1, 1, 2)
+    assert not spectrum.exceptional_flag
+    report = ns.detect_exceptional(ns.charges(decomp, psi_d, 1.0))
+    assert not report.is_exceptional
+    assert report.coalesced_roots == ()
 
 
 def test_merged_config_passthrough(chain):
@@ -288,7 +302,7 @@ def _closure_groups(config):
         group, grew = {i}, True
         while grew:
             near = {j for j in active if j not in group and any(
-                abs(config.charges[j].phase - config.charges[g].phase) < ns.survival.ALIAS_TOL
+                abs(config.charges[j].phase - config.charges[g].phase) < ALIAS_TOL
                 for g in group)}
             group |= near
             grew = bool(near)
@@ -308,7 +322,7 @@ def test_alias_groups_match_pairwise_closure():
     )
     p = np.array([1, 1, 1, 1, 1, 1, 0, 1, 1], dtype=float)
     config = ns.config_from_levels(energies, p / p.sum(), 1.0)
-    groups = ns.survival._alias_groups(config)
+    groups = _alias_groups(config)
     assert groups == ((0, 1), (2, 3, 4), (5,), (7,), (8,))
     assert groups == _closure_groups(config)
     rng = np.random.default_rng(7)
@@ -316,4 +330,4 @@ def test_alias_groups_match_pairwise_closure():
         e = rng.choice([-math.pi, 0.5, 3.0], size=12) + rng.integers(-3, 4, size=12) * d
         p = rng.uniform(0.0, 1.0, size=12) * (rng.uniform(size=12) > 0.2)
         config = ns.config_from_levels(e, p / p.sum(), 1.0)
-        assert ns.survival._alias_groups(config) == _closure_groups(config)
+        assert _alias_groups(config) == _closure_groups(config)
