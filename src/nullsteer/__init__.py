@@ -75,7 +75,6 @@ from .evolution import (
     Trajectory,
     TrajectoryRecord,
     classify_regime,
-    crossover_step,
     energy_conservation_check,
     evolve,
     evolve_spectral,

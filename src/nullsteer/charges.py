@@ -100,8 +100,9 @@ class StationaryPoints:
 
     ``roots`` run by descending modulus; roots whose moduli agree to
     COALESCENCE_TOL (a conjugate pair) run by descending imaginary part,
-    then real part.  Which roots tie for the dominant modulus is decided by
-    the tie tolerance of ``classify_regime`` and ``crossover_step``.
+    then real part.  Which roots tie for the dominant modulus is decided
+    only by ``classify_regime``, from its ``tie_tol``; the same decision
+    gives its crossover step.
 
     ``residuals[i]`` is the Newton step |F/F'| at ``roots[i]``, i.e. the
     root's position error: near a weak charge |F'| is huge, so |F| itself
@@ -224,8 +225,8 @@ class DetectorSplit:
             if k in bright:
                 order = sorted(range(lv.degeneracy), key=lambda l: (-abs(a[l]), l))
                 seeds = order[:1] + [l for l in order[1:] if abs(a[l]) >= ORTHOGONALITY_TOL]
-            out += [(k, _phase_fix(lv.eigenvectors[:, l]))
-                    for l in range(lv.degeneracy) if l not in seeds]
+            rest = [l for l in range(lv.degeneracy) if l not in seeds]
+            out += [(k, v) for v in _phase_fix(lv.eigenvectors[:, rest]).T.copy()]
             if seeds:
                 out += [(k, v) for v in _dark_combinations(lv.eigenvectors[:, seeds], a[seeds])]
         for _, v in out:

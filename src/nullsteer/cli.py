@@ -47,7 +47,6 @@ from .errors import (
 from .evolution import (
     DEFAULT_DARK_OVERLAP_TOL,
     classify_regime,
-    crossover_step,
     evolve,
 )
 from .figures import FIGURES
@@ -186,29 +185,21 @@ def _run_evolve(rt, out_dir, dump_states):
     return [path]
 
 
-def _regime_summary(rt, tau):
-    spectrum = rt.spectrum(tau)
-    psi_in = rt.initial_state
-    regime = classify_regime(
-        spectrum, psi_in, tie_tol=rt.tie_tol, dark_overlap_tol=rt.dark_overlap_tol
-    )
-    crossover = crossover_step(
-        spectrum, psi_in, tie_tol=rt.tie_tol, dark_overlap_tol=rt.dark_overlap_tol
-    )
-    return spectrum, regime, crossover
-
-
 def _run_regime(rt, out_dir):
+    def regime_at(tau):
+        return classify_regime(rt.spectrum(tau), rt.initial_state, tie_tol=rt.tie_tol,
+                               dark_overlap_tol=rt.dark_overlap_tol)
+
     if rt.config.tau_is_sweep:
         def worker(tau):
-            _, regime, crossover = _regime_summary(rt, tau)
+            regime = regime_at(tau)
             energy = regime.predicted_energy
             return (
                 tau,
                 regime.kind,
                 float("nan") if energy is None else float(energy),
                 len(regime.dominant),
-                -1 if crossover is None else crossover,
+                regime.crossover_step,
             )
 
         rows = [worker(tau) for tau in rt.config.tau_values]
@@ -221,7 +212,7 @@ def _run_regime(rt, out_dir):
         return [path]
 
     tau = rt.config.tau_values[0]
-    _, regime, crossover = _regime_summary(rt, tau)
+    regime = regime_at(tau)
     payload = {
         "tau": tau,
         "kind": regime.kind,
@@ -231,7 +222,7 @@ def _run_regime(rt, out_dir):
             {"re_xi": t.xi.real, "im_xi": t.xi.imag, "abs_xi": abs(t.xi)}
             for t in regime.dominant
         ],
-        "crossover_step": crossover,
+        "crossover_step": regime.crossover_step,
     }
     if regime.oscillation is not None:
         # A relative phase is defined only for a dominant pair.
@@ -321,7 +312,7 @@ def _run_perturb(rt, out_dir):
     else:
         est = zeno_time_estimate(rt.decomp, tau, config=config)
 
-    compare = bool(options.get("compare_exact", False))
+    compare = options.get("compare_exact", False)
     exact_roots = []
     if compare:
         exact_roots = list(stationary_points(config).roots)

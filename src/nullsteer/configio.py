@@ -128,6 +128,8 @@ def _check_model(spec, locator):
             _fail(locator, key, "model parameter 'depth' must be an integer")
         if mtype != "custom" and not _is_number(spec[key]):
             _fail(locator, key, f"model parameter {key!r} must be a number")
+    if not isinstance(spec.get("labels", []), list):
+        _fail(locator, "labels", "model labels must be a list")
 
 
 def _check_state_spec(spec, name, locator, allow_combination=True):
@@ -258,6 +260,8 @@ def parse_config(text, source_path=None):
                       f"scheme {scheme!r} needs distinct levels")
         if perturb.get("delta") is not None and not _is_number(perturb["delta"]):
             _fail(locator, "delta", "perturb delta must be a number")
+        if not isinstance(perturb.get("compare_exact", False), bool):
+            _fail(locator, "compare_exact", "perturb compare_exact must be true or false")
 
     if experiment in ("evolve", "regime") and "initial_state" not in raw:
         _fail(locator, "experiment",

@@ -84,6 +84,7 @@ class AsymptoticRegime:
 
     kind: str
     dominant: tuple
+    crossover_step: int
     predicted_energy: float = None
     oscillation: dict = None
 
@@ -209,22 +210,6 @@ def evolve_spectral(spectrum, psi_in, n, H):
     return out, float(np.real(np.vdot(out, h @ out)))
 
 
-def _decomp_of(spectrum):
-    decomp = getattr(spectrum.operator, "decomp", None)
-    if decomp is None:
-        raise InvalidParameterError(
-            "spectrum carries no source decomposition; cannot recover H"
-        )
-    return decomp
-
-
-def _dark_weights(darks, psi):
-    """|<dark|psi>|^2 for each circle triple, as one product."""
-    if not darks:
-        return np.zeros(0)
-    return np.abs(np.array([t.right for t in darks]).conj() @ psi) ** 2
-
-
 def classify_regime(
     spectrum,
     psi_in,
@@ -233,41 +218,57 @@ def classify_regime(
 ):
     """Classify the large-n behaviour for one initial state.
 
-    Dark overlap is checked first: any nonzero dark component outlives
-    every disk component.  Otherwise the dominant disk tie decides between
-    a fixed point (single root) and persistent oscillation (tied pair or
-    larger, reported with the full tie).
+    Two decisions make the regime.  Dark overlap is checked first: any
+    dark weight above ``dark_overlap_tol`` outlives every disk component.
+    Otherwise the disk roots within ``tie_tol`` of the top modulus decide
+    between a fixed point (single root) and persistent oscillation (tied
+    pair or larger, reported with the full tie).
+
+    ``crossover_step`` is the first n at which the coefficient-free ratio
+    (|xi_2| / |xi_1|)^n falls below CROSSOVER_RATIO: with dark weight
+    |xi_1| = 1 and xi_2 is the top disk root, otherwise xi_1 is the top
+    disk root and xi_2 the largest one outside its tie.
     """
     psi = as_vector(psi_in)
     psi = psi / np.linalg.norm(psi)
-    if spectrum.exceptional_flag:
-        return AsymptoticRegime(EXCEPTIONAL, ())
-
     darks = spectrum.by_kind("circle")
-    weights = _dark_weights(darks, psi)
+    # |<dark|psi>|^2 for every circle triple, as one product.
+    rights = np.array([t.right for t in darks]).reshape(len(darks), psi.size)
+    weights = np.abs(rights.conj() @ psi) ** 2
     total = float(weights.sum())
-    if total > dark_overlap_tol:
+    dark_dominated = total > dark_overlap_tol
+
+    disk = spectrum.by_kind("disk")
+    moduli = [abs(t.xi) for t in disk]
+    top = max(moduli, default=None)
+    tied = [top - m <= tie_tol for m in moduli]
+    dominant = tuple(t for t, tie in zip(disk, tied) if tie)
+    second = max((m for m, tie in zip(moduli, tied) if not tie), default=None)
+    m1, m2 = (1.0, top) if dark_dominated else (top, second)
+    crossover = 1 if not m2 else max(
+        1, math.ceil(math.log(CROSSOVER_RATIO) / math.log(m2 / m1)))
+
+    if spectrum.exceptional_flag:
+        return AsymptoticRegime(EXCEPTIONAL, (), crossover)
+    if dark_dominated:
         energy = float(weights @ np.array([t.energy for t in darks]) / total)
         dominant = tuple(
             t for w, t in zip(weights, darks) if w > dark_overlap_tol
         )
-        return AsymptoticRegime(DARK_DOMINATED, dominant, predicted_energy=energy)
-
-    disk = spectrum.by_kind("disk")
+        return AsymptoticRegime(DARK_DOMINATED, dominant, crossover,
+                                predicted_energy=energy)
     if not disk:
         raise CertainDetectionError(step=1)
-    max_abs = max(abs(t.xi) for t in disk)
-    dominant = tuple(t for t in disk if max_abs - abs(t.xi) <= tie_tol)
-    decomp = _decomp_of(spectrum)
+    decomp = spectrum.operator.decomp
     if len(dominant) == 1:
         energy = decomp.mean_energy(dominant[0].right)
-        return AsymptoticRegime(FIXED_POINT, dominant, predicted_energy=energy)
+        return AsymptoticRegime(FIXED_POINT, dominant, crossover, predicted_energy=energy)
     energies = tuple(decomp.mean_energy(t.right) for t in dominant)
     osc = {"energies": energies}
     if len(dominant) == 2:
         phi = [float(np.angle(t.xi)) for t in dominant]
         osc["relative_phase"] = 0.5 * (phi[0] - phi[1])
-    return AsymptoticRegime(OSCILLATORY, dominant, oscillation=osc)
+    return AsymptoticRegime(OSCILLATORY, dominant, crossover, oscillation=osc)
 
 
 def oscillation_descriptor(regime, psi_in):
@@ -282,7 +283,6 @@ def oscillation_descriptor(regime, psi_in):
     t1, t2 = regime.dominant
     a1 = np.vdot(t1.left, psi) / np.vdot(t1.left, t1.right)
     a2 = np.vdot(t2.left, psi) / np.vdot(t2.left, t2.right)
-    phi1, phi2 = float(np.angle(t1.xi)), float(np.angle(t2.xi))
 
     def state_at(n):
         v = a1 * (t1.xi ** n) * t1.right + a2 * (t2.xi ** n) * t2.right
@@ -292,8 +292,8 @@ def oscillation_descriptor(regime, psi_in):
         complex(a1),
         complex(a2),
         tuple(regime.oscillation["energies"]),
-        0.5 * (phi1 + phi2),
-        0.5 * (phi1 - phi2),
+        0.5 * float(np.angle(t1.xi) + np.angle(t2.xi)),
+        regime.oscillation["relative_phase"],
         state_at,
     )
 
@@ -302,41 +302,3 @@ def energy_conservation_check(trajectory, tolerance):
     """True iff the mean energy never drifts from its initial value."""
     e = trajectory.energies()
     return bool(np.max(np.abs(e - e[0])) < tolerance)
-
-
-def crossover_step(
-    spectrum,
-    psi_in=None,
-    tie_tol=DEFAULT_TIE_TOL,
-    dark_overlap_tol=DEFAULT_DARK_OVERLAP_TOL,
-):
-    """First n at which the subdominant amplitude ratio decays below 1/100.
-
-    The ratio is (|xi_2| / |xi_1|)^n, coefficient-free: it measures decay
-    relative to the starting amplitudes.  When the initial state carries
-    dark weight (or none is given and dark states exist), the dominant
-    modulus is 1 and xi_2 is the largest disk root; otherwise the top two
-    disk moduli outside the dominant tie are compared.
-    """
-    disk = sorted(spectrum.by_kind("disk"), key=lambda t: -abs(t.xi))
-    darks = spectrum.by_kind("circle")
-    dark_dominated = bool(darks)
-    if psi_in is not None:
-        psi = as_vector(psi_in)
-        psi = psi / np.linalg.norm(psi)
-        dark_dominated = float(_dark_weights(darks, psi).sum()) > dark_overlap_tol
-    if dark_dominated:
-        if not disk:
-            return 1
-        m1, m2 = 1.0, abs(disk[0].xi)
-    else:
-        if len(disk) < 2:
-            return 1
-        m1 = abs(disk[0].xi)
-        rest = [abs(t.xi) for t in disk if m1 - abs(t.xi) > tie_tol]
-        if not rest:
-            return 1
-        m2 = max(rest)
-    if m2 == 0.0:
-        return 1
-    return max(1, math.ceil(math.log(CROSSOVER_RATIO) / math.log(m2 / m1)))

@@ -47,8 +47,12 @@ class HermitianModel:
             raise InvalidParameterError("dim must equal the number of basis labels")
         if np.max(np.abs(h - h.conj().T)) > 1e-12:
             raise InvalidMatrixError("stored hamiltonian must be Hermitian to 1e-12")
+        labels = tuple(str(s) for s in self.basis_labels)
+        if len(set(labels)) < len(labels):
+            repeated = sorted({s for s in labels if labels.count(s) > 1})
+            raise InvalidParameterError(f"basis labels must be distinct; {repeated} repeat")
         object.__setattr__(self, "hamiltonian", h)
-        object.__setattr__(self, "basis_labels", tuple(str(s) for s in self.basis_labels))
+        object.__setattr__(self, "basis_labels", labels)
 
     @property
     def dim(self):

@@ -43,16 +43,9 @@ KIND_CIRCLE = "circle"
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class SurvivalOperator:
-    """Matrix of one conditional step, with its provenance."""
+    """Matrix of one conditional step."""
 
     matrix: np.ndarray
-    tau: float = None
-    detection: object = None
-    source_decomp: object = None
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -123,15 +116,15 @@ class SurvivalSpectrum:
     counts: tuple
     exceptional_flag: bool
     min_biorthogonal_overlap: float
-    operator: EigenSurvivalOperator = None
-    charge_config: object = None
-    stationary: object = None
+    operator: EigenSurvivalOperator
+    charge_config: object
+    stationary: object
 
     def by_kind(self, kind):
         return [t for t in self.triples if t.kind == kind]
 
 
-def build_survival(U, psi_d, tau=None, source_decomp=None):
+def build_survival(U, psi_d):
     """Dense S = (1 - |psi_d><psi_d|) U for a unitary U (test oracle)."""
     U = np.asarray(U, dtype=complex)
     psi = as_vector(psi_d)
@@ -140,7 +133,7 @@ def build_survival(U, psi_d, tau=None, source_decomp=None):
     if np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0]))) > 1e-8:
         raise InvalidParameterError("U must be unitary")
     s = U - np.outer(psi, psi.conj() @ U)
-    return SurvivalOperator(s, tau=tau, detection=psi_d, source_decomp=source_decomp)
+    return SurvivalOperator(s)
 
 
 def dark_states(decomp, psi_d, tau):

@@ -41,7 +41,7 @@ def _dark_member(decomp, psi_d, tau, level, member):
 
 def _machinery(model, decomp, psi_d, tau):
     U = ns.propagator(decomp, tau)
-    return ns.build_survival(U, psi_d, tau=tau, source_decomp=decomp)
+    return ns.build_survival(U, psi_d)
 
 
 def _worked_setups(two_level, chain, v_atom, tree):
@@ -140,7 +140,7 @@ def test_criterion_04_v_atom_shelving(v_atom):
     traj = ns.evolve(S, psi_g, 200, model.hamiltonian)
     e200 = traj.records[200].mean_energy
     p_d = abs(np.vdot(ns.site_state(model, "D"), traj.records[200].state)) ** 2
-    crossover = ns.crossover_step(ns.full_spectrum(model, psi_d, tau), psi_g)
+    crossover = ns.classify_regime(ns.full_spectrum(model, psi_d, tau), psi_g).crossover_step
     _report(4, [
         (rel < 1e-3, f"charge rel dev {rel:.2e} < 1e-3"),
         (d_xi < 1e-5, f"xi_1 dev {d_xi:.2e} < 1e-5"),
@@ -290,8 +290,7 @@ def test_criterion_10_partition_against_dense_oracle():
                   len(spectrum.by_kind("circle")))
         assert counts == expected, f"seed {seed}: {counts} != {expected}"
         decomp = ns.spectral_decompose(model)
-        S = ns.build_survival(ns.propagator(decomp, tau), psi, tau=tau,
-                              source_decomp=decomp)
+        S = ns.build_survival(ns.propagator(decomp, tau), psi)
         reference = helpers.dense_eigenvalues(S.matrix)
         computed = [t.xi for t in spectrum.triples]
         worst = max(worst, helpers.match_eigenvalues(computed, reference))

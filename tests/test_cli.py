@@ -480,6 +480,23 @@ def test_main_bad_perturb_level_is_exit_2(tmp_path, capsys, key, perturb):
     assert f"perturb {key}" in capsys.readouterr().err
 
 
+_CUSTOM = {"type": "custom", "matrix_re": [[0.0, 1.0], [1.0, 0.0]]}
+
+
+@pytest.mark.parametrize("key, payload", [
+    ("compare_exact", _chain_payload(experiment="perturb", perturb={
+        "scheme": "two_merge", "index_a": 0, "index_b": 1, "compare_exact": "no"})),
+    ("labels", _chain_payload(model=dict(_CUSTOM, labels=["a", "a"]),
+                              detection={"site": "a"})),
+    ("labels", _chain_payload(model=dict(_CUSTOM, labels="ab"), detection={"site": "a"})),
+], ids=["compare_exact_string", "labels_repeat", "labels_string"])
+def test_main_malformed_option_is_exit_2(tmp_path, capsys, key, payload):
+    """A truthy string is not a boolean, and labels are a list of distinct names."""
+    cfg = _write(tmp_path, payload)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_main_not_applicable_is_exit_2(tmp_path, capsys):
     cfg = _write(tmp_path, _chain_payload(
         experiment="perturb", perturb={"scheme": "zeno"}))

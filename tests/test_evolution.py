@@ -12,7 +12,7 @@ from helpers import random_model
 
 def _machinery(model, decomp, psi_d, tau):
     u = ns.propagator(decomp, tau)
-    s = ns.build_survival(u, psi_d, tau=tau, source_decomp=decomp)
+    s = ns.build_survival(u, psi_d)
     return s, model.hamiltonian
 
 
@@ -189,17 +189,39 @@ def test_classify_no_disk_certain_detection(two_level):
 def test_crossover_chain(chain):
     model, _, psi_d = chain
     spectrum = ns.full_spectrum(model, psi_d, 2.0)
-    assert ns.crossover_step(spectrum, ns.site_state(model, "2")) == 5
+    assert ns.classify_regime(spectrum, ns.site_state(model, "2")).crossover_step == 5
 
 
 def test_crossover_tree_ground(tree):
     model, decomp, psi_d = tree
     spectrum = ns.full_spectrum(model, psi_d, 1.2)
     ground = decomp.levels[0].eigenvectors[:, 0]
-    n_bright = ns.crossover_step(spectrum, ground)
+    n_bright = ns.classify_regime(spectrum, ground).crossover_step
     assert n_bright == 23
     # with dark weight the reference amplitude never decays, so the wait is longer
-    assert ns.crossover_step(spectrum) > n_bright
+    dark_start = ns.site_state(model, "(2,1)")
+    assert ns.classify_regime(spectrum, dark_start).crossover_step > n_bright
+
+
+def test_crossover_of_every_regime_kind(tree, chain):
+    """One classification gives the kind and its crossover step together."""
+    model, decomp, psi_d = tree
+    ground = decomp.levels[0].eigenvectors[:, 0]
+    cases = [
+        (model, psi_d, ground, 1.2, "FixedPoint", 23),
+        (model, psi_d, ground, 1.25, "Oscillatory", 13),
+        (model, psi_d, ground, 2.3, "Oscillatory", 21),
+        (model, psi_d, ns.site_state(model, "(2,1)"), 1.2, "DarkDominated", 19739),
+    ]
+    exc = ns.build_exceptional_three_level(1.0)
+    cases.append((exc, ns.site_state(exc, "0"), ns.site_state(exc, "1"),
+                  2.0 * math.pi / 3.0, "Exceptional", 1))
+    chain_model, _, chain_d = chain
+    cases.append((chain_model, chain_d, ns.site_state(chain_model, "2"), 2.0,
+                  "FixedPoint", 5))
+    for m, det, start, tau, kind, n in cases:
+        regime = ns.classify_regime(ns.full_spectrum(m, det, tau), start)
+        assert (regime.kind, regime.crossover_step) == (kind, n), (tau, kind)
 
 
 @settings(derandomize=True, max_examples=15, deadline=None)

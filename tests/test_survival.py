@@ -24,19 +24,19 @@ from helpers import (
 
 
 def _survival(decomp, psi_d, tau):
-    return ns.build_survival(ns.propagator(decomp, tau), psi_d, tau=tau)
+    return ns.build_survival(ns.propagator(decomp, tau), psi_d)
 
 
 def test_build_survival_matrix(chain):
     model, decomp, psi_d = chain
     u = ns.propagator(decomp, 2.0)
-    s = ns.build_survival(u, psi_d, tau=2.0, source_decomp=decomp)
+    s = ns.build_survival(u, psi_d)
     np.testing.assert_allclose(
         s.matrix, u - np.outer(psi_d, psi_d.conj() @ u), atol=1e-15
     )
     # the detection row is annihilated: <psi_d| S = 0
     assert np.max(np.abs(psi_d.conj() @ s.matrix)) < 1e-15
-    assert s.tau == 2.0 and s.dim == 3
+    assert s.matrix.shape == (3, 3)
 
 
 def test_build_survival_rejects_bad_input(chain):
@@ -258,7 +258,7 @@ def test_random_unitary_survival_row(seed, tau):
     u = random_unitary(rng, dim)
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     psi = psi / np.linalg.norm(psi)
-    s = ns.build_survival(u, psi, tau=tau)
+    s = ns.build_survival(u, psi)
     assert np.max(np.abs(psi.conj() @ s.matrix)) < 1e-12
     assert np.linalg.norm(s.matrix @ (u.conj().T @ psi)) < 1e-12
 
