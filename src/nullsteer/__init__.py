@@ -45,11 +45,13 @@ from .charges import (
     ChargeConfiguration,
     DetectorSplit,
     ExceptionalReport,
+    StartWeights,
     StationaryPoints,
     charges,
     config_from_levels,
     dark_combination_coeffs,
     detect_exceptional,
+    disk_root_levels,
     energy_spread,
     field,
     merged_charge_config,

@@ -9,12 +9,12 @@ roots at xi = 0 are counted from the charge moments and reported exact,
 and every other root gets a few Newton steps on F, all roots at once.
 Aliased charges (phases within ALIAS_TOL) act as one; ``stationary_points``
 merges them.  Only the phases depend on tau: a ``DetectorSplit`` holds the
-rest (detector overlaps, charges, dark vectors) for every tau.
+rest (detector overlaps, charges, dark vectors) for every tau, and
+``DetectorSplit.weigh`` the level-wise weights of a start state.
 """
 
 from __future__ import annotations
 
-import cmath
 import dataclasses
 import functools
 import math
@@ -26,6 +26,7 @@ from .errors import (
     InvalidParameterError,
     NoBrightSubspaceError,
     PoleError,
+    RootTooCloseError,
 )
 from .models import SpectralDecomposition, _phase_fix, as_vector
 
@@ -233,6 +234,38 @@ class DetectorSplit:
             v.setflags(write=False)
         return tuple(out)
 
+    def weigh(self, psi):
+        """The StartWeights of a start state, from its coordinates x = V^dag psi.
+
+        A level's own dark weight is the norm of what is left of x on the
+        level once the detector's projection is taken out (all of it on a
+        dark level), summed with ``np.add.reduceat`` like the charges.
+        """
+        x = self.decomp.coords(psi)
+        x = x / np.linalg.norm(x)
+        o = np.add.reduceat(self.c.conj() * x, self.starts)
+        ratio = np.zeros(o.size, dtype=complex)
+        ratio[self.bright_levels] = o[self.bright_levels] / self.p[self.bright_levels]
+        rest = x - self.c * np.repeat(ratio, [lv.degeneracy for lv in self.decomp.levels])
+        return StartWeights(self, np.add.reduceat((rest * rest.conj()).real, self.starts), o)
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class StartWeights:
+    """One unit start state psi seen level by level through a DetectorSplit.
+
+    ``dark[k]`` is its weight on level k's own dark states, the part of
+    ||P_k psi||^2 orthogonal to the detector's projection P_k psi_d (all of
+    it on a dark level).  ``o[k]`` = <P_k psi_d|psi>, from which
+    ``evolution.classify_regime`` takes the dark part of each alias
+    group's bright span at a given tau.  Neither depends on tau, so a run
+    weighs its start once.
+    """
+
+    split: DetectorSplit
+    dark: np.ndarray
+    o: np.ndarray
+
 
 def _as_split(decomp, psi_d):
     """``psi_d`` when it is a split of ``decomp``, else a new split of it at
@@ -269,13 +302,18 @@ def _alias_groups(config):
     included; groups run by their smallest index.
     """
     active = config.active_indices()
-    z = [config.charges[i].phase for i in active]
-    order = sorted(range(len(z)), key=lambda j: cmath.phase(z[j]))
-    cuts = [n for n in range(1, len(order)) if abs(z[order[n]] - z[order[n - 1]]) >= ALIAS_TOL]
-    runs = [order[i:j] for i, j in zip([0] + cuts, cuts + [len(order)])]
-    if len(runs) > 1 and abs(z[order[-1]] - z[order[0]]) < ALIAS_TOL:
-        runs[0] += runs.pop()
-    return tuple(sorted(tuple(sorted(active[j] for j in r)) for r in runs if r))
+    z = np.array([config.charges[i].phase for i in active], dtype=complex)
+    order = np.argsort(np.angle(z), kind="stable")
+    z = z[order]
+    # The run of each phase in angle order: a new one at every cut.
+    runs = np.zeros(len(active), dtype=int)
+    runs[1:] = np.cumsum(np.abs(z[1:] - z[:-1]) >= ALIAS_TOL)
+    if len(active) and runs[-1] and abs(z[-1] - z[0]) < ALIAS_TOL:
+        runs[runs == runs[-1]] = 0
+    groups = {}
+    for j, run in zip(order.tolist(), runs.tolist()):
+        groups.setdefault(run, []).append(active[j])
+    return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
 
 
 def merged_charge_config(config, groups=None):
@@ -427,6 +465,44 @@ def zeno_bound(decomp, tau):
         return 1.0, math.inf, math.inf
     t_b = -tau / math.log(bound)
     return bound, t_b, t_b / tau
+
+
+def _guard_roots(xis, phases, p):
+    """Refuse roots within 1e-10 of any level phase: the resolvent is singular there.
+
+    The message names the level and its charge, since a zero_threshold at
+    or above that charge makes the level dark and its root goes.
+    """
+    close = np.argwhere(np.abs(xis[:, None] - phases) < 1e-10)
+    if close.size:
+        i, k = close[0]
+        raise RootTooCloseError(
+            f"root {xis[i]:.6g} is within 1e-10 of a unit-circle phase, that of "
+            f"level {k} with charge {p[k]:.3g}; a zero_threshold at or above "
+            "that charge treats the level as dark"
+        )
+
+
+def disk_root_levels(config, roots):
+    """Mean energy and biorthogonal overlap of each disk root's eigenvectors.
+
+    Both come level by level.  The right vector V (c / (xi - z)) puts the
+    weight p_k / |xi - z_k|^2 on level k, so its energy is
+    sum_k E_k p_k / |xi - z_k|^2 / sum_k p_k / |xi - z_k|^2, and
+    |<left|right>| / (|left| |right|) is
+    |sum_k p_k z_k / (xi - z_k)^2| / sum_k p_k / |xi - z_k|^2.  Every
+    level's charge counts, dark ones included.  Roots within 1e-10 of a
+    level phase raise RootTooCloseError.
+    """
+    p = np.array([c.p for c in config.charges])
+    z = np.array([c.phase for c in config.charges])
+    xis = np.asarray(roots, dtype=complex)
+    _guard_roots(xis, z, p)
+    inv = 1.0 / (xis[:, None] - z)
+    weights = p * (inv * inv.conj()).real
+    norm = weights.sum(axis=1)
+    energies = weights @ np.array([c.energy for c in config.charges]) / norm
+    return energies, np.abs((inv * inv) @ (p * z)) / norm
 
 
 def _coalesced(roots):

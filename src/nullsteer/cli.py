@@ -87,8 +87,22 @@ class _Runtime:
             return None
         return resolve_state(self.config.initial_state, self.model, self.decomp, self.split)
 
+    @functools.cached_property
+    def start(self):
+        # The initial state's level weights, also the same at every tau.
+        return None if self.initial_state is None else self.split.weigh(self.initial_state)
+
     def spectrum(self, tau):
         return full_spectrum(self.decomp, self.split, tau)
+
+    def roots(self, tau):
+        """The charge configuration at tau and its stationary points."""
+        config = compute_charges(self.decomp, self.split, tau)
+        return config, stationary_points(config)
+
+    def regime(self, config, sp):
+        return classify_regime(config, sp, self.start, tie_tol=self.tie_tol,
+                               dark_overlap_tol=self.dark_overlap_tol)
 
     def resolved_tolerances(self):
         return {
@@ -187,8 +201,7 @@ def _run_evolve(rt, out_dir, dump_states):
 
 def _run_regime(rt, out_dir):
     def regime_at(tau):
-        return classify_regime(rt.spectrum(tau), rt.initial_state, tie_tol=rt.tie_tol,
-                               dark_overlap_tol=rt.dark_overlap_tol)
+        return rt.regime(*rt.roots(tau))
 
     if rt.config.tau_is_sweep:
         def worker(tau):
@@ -219,8 +232,8 @@ def _run_regime(rt, out_dir):
         "predicted_energy": regime.predicted_energy,
         "oscillation": None,
         "dominant": [
-            {"re_xi": t.xi.real, "im_xi": t.xi.imag, "abs_xi": abs(t.xi)}
-            for t in regime.dominant
+            {"re_xi": xi.real, "im_xi": xi.imag, "abs_xi": abs(xi)}
+            for xi in regime.dominant
         ],
         "crossover_step": regime.crossover_step,
     }
@@ -244,18 +257,8 @@ _SWEEP_HEADER = ("tau", "re_xi_1", "im_xi_1", "abs_xi_1", "abs_xi_2", "n_circle"
 
 def _sweep_row(rt, tau):
     """One `sweep.csv` row, in _SWEEP_HEADER order."""
-    # With an initial state, the spectrum the regime needs also holds
-    # the roots and the charge groups, so they are not solved twice.
-    kind = ""
-    if rt.config.initial_state is None:
-        sp = stationary_points(compute_charges(rt.decomp, rt.split, tau))
-    else:
-        spectrum = rt.spectrum(tau)
-        sp = spectrum.stationary
-        kind = classify_regime(
-            spectrum, rt.initial_state, tie_tol=rt.tie_tol,
-            dark_overlap_tol=rt.dark_overlap_tol,
-        ).kind
+    config, sp = rt.roots(tau)
+    kind = "" if rt.start is None else rt.regime(config, sp).kind
     mods = sorted((abs(r) for r in sp.roots), reverse=True)
     top = mods[0] if mods else float("nan")
     second = mods[1] if len(mods) > 1 else float("nan")

@@ -4,7 +4,8 @@ Two equivalent routes are provided and kept independent: iterated
 application of the survival operator with per-step renormalization, and
 the spectral formula summing disk and circle eigencomponents.  The
 asymptotic regime (dark dominated, fixed point, oscillatory, exceptional)
-is classified from the spectrum and the initial state.
+is classified level by level from the charges, their stationary points
+and the initial state's level weights.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 
 import numpy as np
 
-from .charges import DEFAULT_TIE_TOL
+from .charges import DEFAULT_TIE_TOL, disk_root_levels
 from .errors import (
     CertainDetectionError,
     ExceptionalSpectrumError,
@@ -22,6 +23,7 @@ from .errors import (
     UnsupportedMultiplicityError,
 )
 from .models import as_vector
+from .survival import _disk_roots, _exceptional
 
 #: A raw step norm below this means the next measurement detects for sure.
 CERTAIN_DETECTION_TOL = 1e-14
@@ -80,7 +82,11 @@ class Trajectory:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class AsymptoticRegime:
-    """Large-n classification of one (spectrum, initial state) pair."""
+    """Large-n classification of one start at one tau.
+
+    ``dominant`` holds the dominant disk roots, or for ``DarkDominated``
+    the phases that carry dark weight (one per level or alias group).
+    """
 
     kind: str
     dominant: tuple
@@ -211,76 +217,105 @@ def evolve_spectral(spectrum, psi_in, n, H):
 
 
 def classify_regime(
-    spectrum,
-    psi_in,
+    config,
+    stationary,
+    start,
     tie_tol=DEFAULT_TIE_TOL,
     dark_overlap_tol=DEFAULT_DARK_OVERLAP_TOL,
 ):
-    """Classify the large-n behaviour for one initial state.
+    """Classify the large-n behaviour of one start at one tau, level by level.
 
-    Two decisions make the regime.  Dark overlap is checked first: any
-    dark weight above ``dark_overlap_tol`` outlives every disk component.
-    Otherwise the disk roots within ``tie_tol`` of the top modulus decide
-    between a fixed point (single root) and persistent oscillation (tied
-    pair or larger, reported with the full tie).
+    ``config`` is the charge configuration at tau of the detector split
+    that weighed the start, ``stationary`` its ``stationary_points`` and
+    ``start`` that split's ``weigh(psi_in)``, formed once per run.  No
+    dim-sized vector is formed here: the spectrum's checks (roots inside
+    the disk, the 1e-10 phase guard, the exceptional test and the count
+    partition) and both decisions read the charges.
+
+    Two decisions make the regime.  Dark weight is checked first: any
+    weight above ``dark_overlap_tol`` outlives every disk component.  It is
+    each level's own dark weight plus, for each alias group g, the dark
+    part of the group's bright span, sum_k |a_k|^2 with
+    a_k = o_k / sqrt(p_k) - sqrt(p_k) (sum_g o) / (sum_g p); the predicted
+    energy weighs each level's energy by its share, cross-level terms
+    included, and ``dominant`` holds the phase of each level or alias group
+    whose weight is above ``dark_overlap_tol``.  Otherwise the disk roots
+    within ``tie_tol`` of the top modulus decide between a fixed point
+    (single root) and persistent oscillation (tied pair or larger,
+    reported with the full tie); ``dominant`` holds those roots.
 
     ``crossover_step`` is the first n at which the coefficient-free ratio
     (|xi_2| / |xi_1|)^n falls below CROSSOVER_RATIO: with dark weight
     |xi_1| = 1 and xi_2 is the top disk root, otherwise xi_1 is the top
     disk root and xi_2 the largest one outside its tie.
     """
-    psi = as_vector(psi_in)
-    psi = psi / np.linalg.norm(psi)
-    darks = spectrum.by_kind("circle")
-    # |<dark|psi>|^2 for every circle triple, as one product.
-    rights = np.array([t.right for t in darks]).reshape(len(darks), psi.size)
-    weights = np.abs(rights.conj() @ psi) ** 2
+    split = start.split
+    if config.zero_threshold != split.zero_threshold or len(config.charges) != start.o.size:
+        raise InvalidParameterError("the charges and the start come from different splits")
+    disk = _disk_roots(stationary)
+    root_energies, overlaps = disk_root_levels(config, disk)
+    aliased = [list(g) for g in stationary.groups if len(g) > 1]
+    n_circle = split.decomp.dim - split.bright_levels.size + sum(len(g) - 1 for g in aliased)
+    exceptional, _ = _exceptional(stationary, min(overlaps, default=1.0), n_circle,
+                                  split.decomp.dim)
+
+    weights = start.dark.copy()
+    for g in aliased:
+        p = np.array([config.charges[k].p for k in g])
+        o = start.o[g]
+        weights[g] += np.abs(o / np.sqrt(p) - np.sqrt(p) * (o.sum() / p.sum())) ** 2
     total = float(weights.sum())
     dark_dominated = total > dark_overlap_tol
 
-    disk = spectrum.by_kind("disk")
-    moduli = [abs(t.xi) for t in disk]
+    moduli = [abs(xi) for xi in disk]
     top = max(moduli, default=None)
     tied = [top - m <= tie_tol for m in moduli]
-    dominant = tuple(t for t, tie in zip(disk, tied) if tie)
+    dominant = tuple(xi for xi, tie in zip(disk, tied) if tie)
     second = max((m for m, tie in zip(moduli, tied) if not tie), default=None)
     m1, m2 = (1.0, top) if dark_dominated else (top, second)
     crossover = 1 if not m2 else max(
         1, math.ceil(math.log(CROSSOVER_RATIO) / math.log(m2 / m1)))
 
-    if spectrum.exceptional_flag:
+    if exceptional:
         return AsymptoticRegime(EXCEPTIONAL, (), crossover)
     if dark_dominated:
-        energy = float(weights @ np.array([t.energy for t in darks]) / total)
-        dominant = tuple(
-            t for w, t in zip(weights, darks) if w > dark_overlap_tol
-        )
+        energy = float(weights @ np.array([c.energy for c in config.charges]) / total)
+        grouped = {k for g in aliased for k in g}
+        carriers = sorted(aliased + [[k] for k in range(weights.size) if k not in grouped])
+        dominant = tuple(config.charges[g[0]].phase for g in carriers
+                         if weights[g].sum() > dark_overlap_tol)
         return AsymptoticRegime(DARK_DOMINATED, dominant, crossover,
                                 predicted_energy=energy)
     if not disk:
         raise CertainDetectionError(step=1)
-    decomp = spectrum.operator.decomp
+    energies = tuple(float(e) for e, tie in zip(root_energies, tied) if tie)
     if len(dominant) == 1:
-        energy = decomp.mean_energy(dominant[0].right)
-        return AsymptoticRegime(FIXED_POINT, dominant, crossover, predicted_energy=energy)
-    energies = tuple(decomp.mean_energy(t.right) for t in dominant)
+        return AsymptoticRegime(FIXED_POINT, dominant, crossover,
+                                predicted_energy=energies[0])
     osc = {"energies": energies}
     if len(dominant) == 2:
-        phi = [float(np.angle(t.xi)) for t in dominant]
+        phi = [float(np.angle(xi)) for xi in dominant]
         osc["relative_phase"] = 0.5 * (phi[0] - phi[1])
     return AsymptoticRegime(OSCILLATORY, dominant, crossover, oscillation=osc)
 
 
-def oscillation_descriptor(regime, psi_in):
-    """Closed-form large-n family for a dominant eigenvalue pair."""
+def oscillation_descriptor(regime, spectrum, psi_in):
+    """Closed-form large-n family for a dominant eigenvalue pair.
+
+    ``spectrum`` is the ``full_spectrum`` at the regime's tau: its disk
+    triples give the pair's eigenvectors.
+    """
     if regime.kind != OSCILLATORY or len(regime.dominant) != 2:
         raise UnsupportedMultiplicityError(
             f"oscillation descriptor needs exactly 2 dominant eigenvalues, "
             f"got {len(regime.dominant)} ({regime.kind})"
         )
+    disk = {t.xi: t for t in spectrum.by_kind("disk")}
+    if not all(xi in disk for xi in regime.dominant):
+        raise InvalidParameterError("the spectrum does not hold the regime's dominant roots")
     psi = as_vector(psi_in)
     psi = psi / np.linalg.norm(psi)
-    t1, t2 = regime.dominant
+    t1, t2 = (disk[xi] for xi in regime.dominant)
     a1 = np.vdot(t1.left, psi) / np.vdot(t1.left, t1.right)
     a2 = np.vdot(t2.left, psi) / np.vdot(t2.left, t2.right)
 

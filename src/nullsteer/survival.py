@@ -10,7 +10,9 @@ bright-space block of S) with resolvent-formula eigenvectors.
 All of it works in the eigen-coordinates of H, where U(tau) is the vector
 z = exp(-i e tau) and S is diagonal plus rank one.  The dense
 ``propagator``, ``build_survival`` and ``zero_eigenpair(U, ...)`` remain as
-oracles for tests.
+oracles for tests.  The regime needs none of the vectors: its checks
+(``_disk_roots``, ``_exceptional``) are shared with ``full_spectrum``, and
+``evolution.classify_regime`` feeds them level-wise overlaps.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .charges import (
     _as_split,
     _coalesced,
     _dark_combinations,
+    _guard_roots,
     charges as compute_charges,
     stationary_points,
 )
@@ -32,7 +35,6 @@ from .errors import (
     ExceptionalSpectrumError,
     InvalidParameterError,
     NumericalFailureError,
-    RootTooCloseError,
 )
 from .models import SpectralDecomposition, _phase_fix, as_vector, spectral_decompose
 
@@ -193,22 +195,13 @@ def disk_eigenpairs(decomp, psi_d, tau, roots):
     right ~ (xi - U)^-1 |psi_d> = V (c / (xi - z)) and
     left ~ (conj(xi) - U^dag)^-1 U^dag |psi_d> = V (conj(z) c / (conj(xi) - conj(z))),
     each root one column of a single product with V.  Roots within 1e-10 of
-    any level phase are refused: the resolvent is singular there.  The
-    message names the level and its charge, since a zero_threshold at or
-    above that charge makes the level dark and its root goes.
+    any level phase raise RootTooCloseError (``charges._guard_roots``).
     """
     split = _as_split(decomp, psi_d)
     s = EigenSurvivalOperator(decomp, split, tau)
     c, z = s.c, s.z
     xis = np.array([complex(xi) for xi in roots], dtype=complex)
-    close = np.argwhere(np.abs(xis[:, None] - np.exp(-1j * decomp.energies * tau)) < 1e-10)
-    if close.size:
-        i, k = close[0]
-        raise RootTooCloseError(
-            f"root {xis[i]:.6g} is within 1e-10 of a unit-circle phase, that of "
-            f"level {k} with charge {split.p[k]:.3g}; a zero_threshold at or above "
-            "that charge treats the level as dark"
-        )
+    _guard_roots(xis, np.exp(-1j * decomp.energies * tau), split.p)
     zc = np.conj(z)[:, None]
     rights = decomp.vectors @ (c[:, None] / (xis - z[:, None]))
     lefts = decomp.vectors @ (zc * c[:, None] / (np.conj(xis) - zc))
@@ -218,6 +211,38 @@ def disk_eigenpairs(decomp, psi_d, tau, roots):
         EigenTriple(complex(xi), right, left, KIND_DISK)
         for xi, right, left in zip(xis, rights.T, lefts.T)
     ]
+
+
+def _disk_roots(sp):
+    """The stationary points other than xi = 0, all strictly inside the unit
+    disk: a root on or outside the circle is a numerical failure."""
+    if sp.max_abs >= 1.0:
+        raise NumericalFailureError(
+            f"stationary point |xi| = {sp.max_abs:.6g} is not strictly inside "
+            "the unit disk"
+        )
+    return [r for r in sp.roots if r != 0]
+
+
+def _exceptional(sp, min_biorth, n_circle, dim):
+    """The exceptional flag and the (zero, disk, circle) counts of a spectrum.
+
+    Coalesced stationary points (xi = 0 included) or a disk pair whose
+    biorthogonal overlap is below COALESCENCE_TOL make it exceptional; any
+    other spectrum must satisfy the partition
+    dim = 1 + (w_eff - 1) + circle states.
+    """
+    n_zero = sp.roots.count(0)
+    exceptional = bool(_coalesced(sp.roots)) or min_biorth < COALESCENCE_TOL
+    counts = (1 + n_zero, len(sp.roots) - n_zero, n_circle)
+    if not exceptional:
+        w_eff = len(sp.groups)
+        expected = (1, w_eff - 1, dim - w_eff)
+        if counts != expected:
+            raise NumericalFailureError(
+                f"spectrum partition {counts} does not match expected {expected}"
+            )
+    return exceptional, counts
 
 
 def full_spectrum(model, psi_d, tau, grouping_tol=None):
@@ -249,30 +274,15 @@ def full_spectrum(model, psi_d, tau, grouping_tol=None):
     config = compute_charges(decomp, split, tau)
     sp = stationary_points(config)
     darks = dark_states(decomp, split, tau) + _cross_level_darks(split, config, sp.groups)
-    if sp.max_abs >= 1.0:
-        raise NumericalFailureError(
-            f"stationary point |xi| = {sp.max_abs:.6g} is not strictly inside "
-            "the unit disk"
-        )
 
     zero_right = _phase_fix(decomp.vectors @ (np.conj(s_op.z) * s_op.c))
     zero = EigenTriple(0.0 + 0.0j, zero_right, split.vector.copy(), KIND_ZERO)
-    # Roots at xi = 0 are the exact zeros stationary_points counted.
-    n_zero = sp.roots.count(0)
-    disk = disk_eigenpairs(decomp, split, tau, [r for r in sp.roots if r != 0])
+    disk = disk_eigenpairs(decomp, split, tau, _disk_roots(sp))
     min_biorth = float(min((abs(np.vdot(t.left, t.right)) for t in disk), default=1.0))
-    exceptional = bool(_coalesced(sp.roots)) or min_biorth < COALESCENCE_TOL
-
-    counts = (1 + n_zero, len(disk), len(darks))
-    if not exceptional:
-        w_eff = len(sp.groups)
-        expected = (1, w_eff - 1, decomp.dim - 1 - (w_eff - 1))
-        if counts != expected:
-            raise NumericalFailureError(
-                f"spectrum partition {counts} does not match expected {expected}"
-            )
+    exceptional, counts = _exceptional(sp, min_biorth, len(darks), decomp.dim)
+    # Roots at xi = 0 are the exact zeros stationary_points counted.
     return SurvivalSpectrum(
-        tuple([zero] * (1 + n_zero) + disk + darks),
+        tuple([zero] * counts[0] + disk + darks),
         counts,
         exceptional,
         min_biorth,

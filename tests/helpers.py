@@ -144,3 +144,41 @@ def with_root_outside_disk(monkeypatch):
         return dataclasses.replace(sp, roots=(1.5 + 0j,) + sp.roots[1:], max_abs=1.5)
 
     monkeypatch.setattr(ns.survival, "stationary_points", outside)
+
+
+def regime_of(model, psi_d, tau, psi_in, **tolerances):
+    """``classify_regime`` on the level-wise inputs a run forms: one split
+    and its start weights, then the charges and their stationary points."""
+    decomp = model if isinstance(model, ns.SpectralDecomposition) else ns.spectral_decompose(model)
+    split = ns.DetectorSplit(decomp, psi_d)
+    config = ns.charges(decomp, split, tau)
+    return ns.classify_regime(config, ns.stationary_points(config), split.weigh(psi_in),
+                              **tolerances)
+
+
+def vector_route_regime(spectrum, psi_in, tie_tol=1e-6, dark_overlap_tol=1e-10):
+    """Oracle: (kind, crossover step, energies) from ``full_spectrum``'s vectors.
+
+    The dark weight is summed as |<v|psi>|^2 over the circle triples and
+    each disk energy is <r|H|r> of the root's right vector.  ``energies``
+    is (predicted energy,) for a fixed point or dark weight, the dominant
+    roots' energies for an oscillation and () at an exceptional point.
+    """
+    psi = np.asarray(psi_in, dtype=complex) / np.linalg.norm(psi_in)
+    darks = spectrum.by_kind("circle")
+    weights = np.array([abs(np.vdot(t.right, psi)) ** 2 for t in darks])
+    total = float(weights.sum())
+    dark = total > dark_overlap_tol
+    disk = spectrum.by_kind("disk")
+    moduli = [abs(t.xi) for t in disk]
+    top = max(moduli, default=None)
+    tied = [t for t, m in zip(disk, moduli) if top - m <= tie_tol]
+    second = max((m for m in moduli if top - m > tie_tol), default=None)
+    m1, m2 = (1.0, top) if dark else (top, second)
+    crossover = 1 if not m2 else max(1, math.ceil(math.log(0.01) / math.log(m2 / m1)))
+    if spectrum.exceptional_flag:
+        return "Exceptional", crossover, ()
+    if dark:
+        return "DarkDominated", crossover, (weights @ [t.energy for t in darks] / total,)
+    energies = tuple(spectrum.operator.decomp.mean_energy(t.right) for t in tied)
+    return ("FixedPoint" if len(tied) == 1 else "Oscillatory"), crossover, energies

@@ -83,8 +83,7 @@ def test_criterion_02_chain_merge_root_and_energy(chain):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         est = two_merge_estimate(rounded, 0, 2)
-    spectrum = ns.full_spectrum(model, psi_d, 2.0)
-    regime = ns.classify_regime(spectrum, ns.site_state(model, "2"))
+    regime = helpers.regime_of(model, psi_d, 2.0, ns.site_state(model, "2"))
     d_root = abs(exact - (-0.8158 + 0.5722j))
     d_est = abs(est.xi_estimates[0] - (-0.8170 + 0.5726j))
     d_energy = abs(regime.predicted_energy - (-0.7511))
@@ -140,7 +139,7 @@ def test_criterion_04_v_atom_shelving(v_atom):
     traj = ns.evolve(S, psi_g, 200, model.hamiltonian)
     e200 = traj.records[200].mean_energy
     p_d = abs(np.vdot(ns.site_state(model, "D"), traj.records[200].state)) ** 2
-    crossover = ns.classify_regime(ns.full_spectrum(model, psi_d, tau), psi_g).crossover_step
+    crossover = helpers.regime_of(model, psi_d, tau, psi_g).crossover_step
     _report(4, [
         (rel < 1e-3, f"charge rel dev {rel:.2e} < 1e-3"),
         (d_xi < 1e-5, f"xi_1 dev {d_xi:.2e} < 1e-5"),
@@ -163,15 +162,15 @@ def test_criterion_05_tree_structure_and_dominant_roots(tree):
     root12 = max(ns.stationary_points(ns.charges(decomp, psi_d, 1.2)).roots,
                  key=abs)
     ground = _bright_member(decomp, psi_d, 0)
-    regime = ns.classify_regime(ns.full_spectrum(model, psi_d, 1.2), ground)
+    regime = helpers.regime_of(model, psi_d, 1.2, ground)
 
     # the paired-root numbers land at tau=1.251 on this model
     pair = sorted(ns.stationary_points(ns.charges(decomp, psi_d, 1.251)).roots,
                   key=abs, reverse=True)[:2]
     targets = (-0.894962 + 0.108282j, -0.894962 - 0.108282j)
     d_pair = max(min(abs(r - t) for t in targets) for r in pair)
-    osc_regime = ns.classify_regime(ns.full_spectrum(model, psi_d, 1.251), ground)
-    osc = ns.oscillation_descriptor(osc_regime, ground)
+    osc_regime = helpers.regime_of(model, psi_d, 1.251, ground)
+    osc = ns.oscillation_descriptor(osc_regime, ns.full_spectrum(model, psi_d, 1.251), ground)
     d_osc = max(min(abs(e - 1.46103), abs(e + 1.46103)) for e in osc.energies)
     _report(5, [
         (model.dim == 22, f"dim {model.dim}"),

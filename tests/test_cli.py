@@ -557,6 +557,32 @@ def test_run_spectrum_of_a_weakly_coupled_level_at_1e_5_is_exit_4(tmp_path, caps
     assert "zero_threshold at or above" in err
 
 
+def test_run_regime_at_a_weak_level_phase_is_exit_4(tmp_path, capsys):
+    # gamma1 = 2e-5 leaves level 1 a bright charge of 8.2e-12, and its root
+    # lies within 1e-10 of its phase: the level-wise regime refuses it too.
+    payload = {
+        "model": {"type": "v_atom", "E_G": 0.0, "E_D": 3.0, "E_B": 5.0,
+                  "gamma1": 2e-5, "gamma2": 1.0},
+        "detection": {"site": "B"},
+        "initial_state": {"site": "G"},
+        "tau": 0.5,
+        "experiment": "regime",
+    }
+    cfg = _write(tmp_path, payload)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert "within 1e-10 of a unit-circle phase" in err
+    assert "level 1 with charge 8.16e-12" in err
+
+
+def test_run_regime_of_a_fully_dark_detector_is_exit_4(tmp_path, capsys):
+    cfg = _write(tmp_path, _chain_payload(
+        experiment="regime", initial_state={"site": "2"},
+        tolerances={"zero_threshold": 2.0}))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    assert "the detection state is fully dark" in capsys.readouterr().err
+
+
 def test_energy_state_reads_the_configured_threshold(tmp_path, monkeypatch):
     """A level the configured zero_threshold darkens resolves to its stored
     eigenvector, the circle state the spectrum gives it, not to its bright

@@ -18,7 +18,7 @@ from nullsteer.cli import run_experiment
 from nullsteer.configio import resolve_state
 from nullsteer.csvio import format_value, read_csv
 
-from helpers import disk_pair_residual, expected_partition
+from helpers import disk_pair_residual, expected_partition, vector_route_regime
 
 SYMMETRIC_START = {"combination": [{"weight": 1.0, "site": "(2,1)"},
                                    {"weight": 1.0, "site": "(2,2)"}]}
@@ -212,26 +212,18 @@ def test_sweep_decomposes_once(tmp_path, monkeypatch):
     assert not propagate and not rebuild_h
 
 
-def test_sweep_solves_each_tau_once_and_builds_darks_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize("experiment", ["sweep-tau", "regime"])
+def test_sweep_solves_each_tau_once_and_builds_no_vectors(tmp_path, monkeypatch, experiment):
+    # The regime is classified level-wise: per tau only the charges and
+    # their stationary points, and no dark or disk vector at all.
     solve = _count_calls(monkeypatch, ns.stationary_points)
-    classify = _count_calls(monkeypatch, ns.classify_regime)
+    vectors = [_count_calls(monkeypatch, fn)
+               for fn in (ns.full_spectrum, ns.dark_states, ns.disk_eigenpairs)]
     tau = {"start": 0.3, "stop": 2.9, "steps": 60}
-    run_experiment(_write(tmp_path, _tree_payload(4, tau, "sweep-tau")),
+    run_experiment(_write(tmp_path, _tree_payload(4, tau, experiment)),
                    str(tmp_path / "out"))
     assert len(solve) == 60
-    spectra = [args[0] for args, _ in classify]
-    assert len(spectra) == 60
-
-    def level_darks(spectrum):
-        return [t.right for t in spectrum.by_kind("circle") if t.source_level is not None]
-
-    # The per-level dark vectors are the run's own arrays, not rebuilt per tau.
-    first = level_darks(spectra[0])
-    assert first
-    for spectrum in spectra[1:]:
-        darks = level_darks(spectrum)
-        assert len(darks) == len(first)
-        assert all(a is b for a, b in zip(darks, first))
+    assert [len(calls) for calls in vectors] == [0, 0, 0]
 
 
 def test_sweep_resolves_the_initial_state_once(tmp_path, monkeypatch):
@@ -269,7 +261,8 @@ def test_sweep_rows_match_fresh_spectra(tmp_path):
         assert row[0] == format_value(tau)
         assert row[5] == format_value(model.dim - len(merged.active()))
         assert row[6] == format_value(bound)
-        assert row[7] == ns.classify_regime(spectrum, psi_in).kind
+        # the kind against a dark weight summed over the circle triples
+        assert row[7] == vector_route_regime(spectrum, psi_in)[0]
         got = [float(v) for v in row[1:5]]
         want = [roots[0].real, roots[0].imag, mods[0], mods[1]]
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-14
@@ -288,6 +281,10 @@ def test_split_circle_states_solve_dense_s(tree):
             assert np.linalg.norm(s @ t.right - t.xi * t.right) <= 1e-12
             assert np.linalg.norm(t.left.conj() @ s - t.xi * t.left.conj()) <= 1e-12
         assert spectrum.counts == expected_partition(model, psi_d, tau)
+        # every spectrum of one split reuses its per-level dark vectors
+        level = [t.right for t in circle if t.source_level is not None]
+        assert len(level) == len(split.darks)
+        assert all(a is b for a, (_, b) in zip(level, split.darks))
         cross = [t for t in circle if t.source_level is None]
         assert len(cross) == (2 if tau == aliased else 0)
 

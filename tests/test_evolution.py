@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 import nullsteer as ns
 from nullsteer import CertainDetectionError, UnsupportedMultiplicityError
 
-from helpers import random_model
+from nullsteer.configio import resolve_state
+
+from helpers import random_model, regime_of, vector_route_regime
 
 
 def _machinery(model, decomp, psi_d, tau):
@@ -114,11 +116,10 @@ def test_energy_conservation_detects_drift(v_atom):
 def test_classify_dark_dominated(tree):
     model, decomp, psi_d = tree
     tau = 1.1
-    spectrum = ns.full_spectrum(model, psi_d, tau)
     dark = ns.dark_states(decomp, psi_d, tau)[0]
     bright = ns.bright_states(decomp, psi_d)[0][1]
     psi_in = (dark.right + bright) / math.sqrt(2.0)
-    regime = ns.classify_regime(spectrum, psi_in)
+    regime = regime_of(decomp, psi_d, tau, psi_in)
     assert regime.kind == "DarkDominated"
     assert abs(regime.predicted_energy - dark.energy) < 1e-9
     assert len(regime.dominant) == 1
@@ -126,13 +127,11 @@ def test_classify_dark_dominated(tree):
 
 def test_classify_fixed_point(chain, v_atom):
     model, decomp, psi_d = chain
-    spectrum = ns.full_spectrum(model, psi_d, 2.0)
-    regime = ns.classify_regime(spectrum, ns.site_state(model, "2"))
+    regime = regime_of(model, psi_d, 2.0, ns.site_state(model, "2"))
     assert regime.kind == "FixedPoint"
     assert abs(regime.predicted_energy + 0.7511) < 1e-3
     model_v, _, psi_b = v_atom
-    spec_v = ns.full_spectrum(model_v, psi_b, 0.5)
-    regime_v = ns.classify_regime(spec_v, ns.site_state(model_v, "G"))
+    regime_v = regime_of(model_v, psi_b, 0.5, ns.site_state(model_v, "G"))
     assert regime_v.kind == "FixedPoint"
     assert abs(regime_v.predicted_energy - 3.0) < 0.01
 
@@ -142,13 +141,13 @@ def test_classify_oscillatory_and_descriptor(chain):
     tau = 4.31697  # near-exact modulus tie of the two roots
     spectrum = ns.full_spectrum(model, psi_d, tau)
     psi_in = ns.site_state(model, "2")
-    regime = ns.classify_regime(spectrum, psi_in)
+    regime = regime_of(model, psi_d, tau, psi_in)
     assert regime.kind == "Oscillatory"
     assert len(regime.dominant) == 2
     assert "relative_phase" in regime.oscillation
 
-    desc = ns.oscillation_descriptor(regime, psi_in)
-    phi1, phi2 = (float(np.angle(t.xi)) for t in regime.dominant)
+    desc = ns.oscillation_descriptor(regime, spectrum, psi_in)
+    phi1, phi2 = (float(np.angle(xi)) for xi in regime.dominant)
     assert abs(desc.mean_phase - 0.5 * (phi1 + phi2)) < 1e-12
     assert abs(desc.relative_phase - 0.5 * (phi1 - phi2)) < 1e-12
 
@@ -163,18 +162,18 @@ def test_classify_oscillatory_and_descriptor(chain):
 def test_oscillation_descriptor_needs_pair(chain):
     model, _, psi_d = chain
     spectrum = ns.full_spectrum(model, psi_d, 2.0)
-    regime = ns.classify_regime(spectrum, ns.site_state(model, "2"))
+    regime = regime_of(model, psi_d, 2.0, ns.site_state(model, "2"))
     with pytest.raises(UnsupportedMultiplicityError):
-        ns.oscillation_descriptor(regime, ns.site_state(model, "2"))
+        ns.oscillation_descriptor(regime, spectrum, ns.site_state(model, "2"))
 
 
 def test_classify_exceptional():
     model = ns.build_exceptional_three_level(1.0)
     psi_d = ns.site_state(model, "0")
-    spectrum = ns.full_spectrum(model, psi_d, 2.0 * math.pi / 3.0)
-    regime = ns.classify_regime(spectrum, ns.site_state(model, "1"))
+    regime = regime_of(model, psi_d, 2.0 * math.pi / 3.0, ns.site_state(model, "1"))
     assert regime.kind == "Exceptional"
     assert regime.dominant == ()
+    assert regime.crossover_step == 1
 
 
 def test_classify_no_disk_certain_detection(two_level):
@@ -183,24 +182,22 @@ def test_classify_no_disk_certain_detection(two_level):
     assert spectrum.counts == (1, 0, 1)
     # the detector itself carries no dark weight and no disk mode survives
     with pytest.raises(CertainDetectionError):
-        ns.classify_regime(spectrum, psi_d)
+        regime_of(model, psi_d, math.pi, psi_d)
 
 
 def test_crossover_chain(chain):
     model, _, psi_d = chain
-    spectrum = ns.full_spectrum(model, psi_d, 2.0)
-    assert ns.classify_regime(spectrum, ns.site_state(model, "2")).crossover_step == 5
+    assert regime_of(model, psi_d, 2.0, ns.site_state(model, "2")).crossover_step == 5
 
 
 def test_crossover_tree_ground(tree):
     model, decomp, psi_d = tree
-    spectrum = ns.full_spectrum(model, psi_d, 1.2)
     ground = decomp.levels[0].eigenvectors[:, 0]
-    n_bright = ns.classify_regime(spectrum, ground).crossover_step
+    n_bright = regime_of(decomp, psi_d, 1.2, ground).crossover_step
     assert n_bright == 23
     # with dark weight the reference amplitude never decays, so the wait is longer
     dark_start = ns.site_state(model, "(2,1)")
-    assert ns.classify_regime(spectrum, dark_start).crossover_step > n_bright
+    assert regime_of(decomp, psi_d, 1.2, dark_start).crossover_step > n_bright
 
 
 def test_crossover_of_every_regime_kind(tree, chain):
@@ -220,8 +217,107 @@ def test_crossover_of_every_regime_kind(tree, chain):
     cases.append((chain_model, chain_d, ns.site_state(chain_model, "2"), 2.0,
                   "FixedPoint", 5))
     for m, det, start, tau, kind, n in cases:
-        regime = ns.classify_regime(ns.full_spectrum(m, det, tau), start)
+        regime = regime_of(m, det, tau, start)
         assert (regime.kind, regime.crossover_step) == (kind, n), (tau, kind)
+
+
+def _dense_dark_projector(u, psi_d):
+    """Projector onto the states S keeps on the unit circle, from the dense U.
+
+    Within each eigenspace of U (a null space of U - lambda), the part
+    orthogonal to the detector's projection on it is dark.
+    """
+    dim = u.shape[0]
+    phases = []
+    for lam in np.linalg.eigvals(u):
+        if all(abs(lam - m) > 1e-9 for m in phases):
+            phases.append(lam)
+    proj = np.zeros((dim, dim), dtype=complex)
+    for lam in phases:
+        _, s, vh = np.linalg.svd(u - lam * np.eye(dim))
+        null = vh[s < 1e-9].conj().T
+        q = null @ null.conj().T
+        b = q @ psi_d
+        proj += q - np.outer(b, b.conj()) / np.vdot(b, b).real
+    return proj
+
+
+def test_three_aliased_levels_predict_the_dark_subspace_energy():
+    """Levels 0, 2 pi and 4 pi share the phase 1 at tau = 1, so the start's
+    dark part spans all three: its energy needs the cross-level terms."""
+    model = ns.build_custom(np.diag([0.0, 2.0 * math.pi, 4.0 * math.pi, 1.0]))
+    psi_d = np.full(4, 0.5)
+    rng = np.random.default_rng(0)
+    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+    psi = psi / np.linalg.norm(psi)
+    decomp = ns.spectral_decompose(model)
+    d = _dense_dark_projector(ns.propagator(decomp, 1.0), psi_d) @ psi
+    want = float(np.vdot(d, model.hamiltonian @ d).real / np.vdot(d, d).real)
+    assert abs(want - 6.924879920) < 1e-9
+    regime = regime_of(model, psi_d, 1.0, psi)
+    assert regime.kind == "DarkDominated"
+    assert abs(regime.predicted_energy - want) < 1e-9
+    # one phase carries the dark weight, however many dark vectors span it
+    assert regime.dominant == (1.0 + 0j,)
+
+
+def _pr10_regime_set():
+    """(model, detector, start, taus) of the regime outputs kept fixed since
+    the crossover step moved into ``classify_regime``."""
+    tree3, tree4 = ns.build_glued_tree(3), ns.build_glued_tree(4)
+    chain = ns.build_three_level_chain(1.0)
+    v_atom = ns.build_v_atom(0.0, 3.0, 5.0, 0.01, 1.0)
+    exc = ns.build_exceptional_three_level(1.0)
+    return [
+        (tree3, ns.site_state(tree3, "(1,1)"), {"energy_state": [0, 0]},
+         np.linspace(0.3, 3.0, 40)),
+        (tree4, ns.site_state(tree4, "(1,1)"), {"site": "(2,1)"}, np.linspace(0.3, 3.0, 40)),
+        (exc, ns.site_state(exc, "0"), {"site": "1"}, [2.0 * math.pi / 3.0]),
+        (chain, ns.site_state(chain, "0"), {"site": "2"}, np.linspace(0.02, 4.2, 80)),
+        (v_atom, ns.site_state(v_atom, "B"), {"site": "G"}, np.linspace(0.1, 3.0, 30)),
+    ]
+
+
+def test_level_wise_regime_matches_the_vector_route():
+    kinds = set()
+    for model, psi_d, spec, taus in _pr10_regime_set():
+        decomp = ns.spectral_decompose(model)
+        split = ns.DetectorSplit(decomp, psi_d)
+        psi_in = resolve_state(spec, model, decomp, split)
+        start = split.weigh(psi_in)
+        for tau in map(float, taus):
+            config = ns.charges(decomp, split, tau)
+            sp = ns.stationary_points(config)
+            regime = ns.classify_regime(config, sp, start)
+            spectrum = ns.full_spectrum(decomp, split, tau)
+            kind, crossover, energies = vector_route_regime(spectrum, psi_in)
+            assert (regime.kind, regime.crossover_step) == (kind, crossover), (spec, tau)
+            got = (() if kind == "Exceptional" else (regime.predicted_energy,)
+                   if regime.oscillation is None else regime.oscillation["energies"])
+            assert len(got) == len(energies)
+            assert max((abs(g - e) for g, e in zip(got, energies)), default=0.0) <= 1e-12
+            _, overlaps = ns.disk_root_levels(config, [r for r in sp.roots if r != 0])
+            assert abs(min(overlaps, default=1.0)
+                       - spectrum.min_biorthogonal_overlap) <= 1e-12, (spec, tau)
+            kinds.add(kind)
+    assert kinds == {"DarkDominated", "FixedPoint", "Oscillatory", "Exceptional"}
+
+
+def test_regime_at_a_weak_level_phase_is_refused():
+    # gamma1 = 2e-5 leaves level 1 a charge of 8.2e-12, above the zero
+    # threshold, and its root lies within 1e-10 of its phase.
+    model = ns.build_v_atom(0.0, 3.0, 5.0, 2e-5, 1.0)
+    with pytest.raises(ns.RootTooCloseError, match="level 1 with charge 8.16e-12"):
+        regime_of(model, ns.site_state(model, "B"), 0.5, ns.site_state(model, "G"))
+
+
+def test_regime_of_a_fully_dark_detector_is_refused(chain):
+    model, decomp, psi_d = chain
+    split = ns.DetectorSplit(decomp, psi_d, zero_threshold=2.0)
+    start = split.weigh(ns.site_state(model, "2"))
+    config = ns.charges(decomp, split, 2.0)
+    with pytest.raises(ns.NoBrightSubspaceError):
+        ns.classify_regime(config, ns.stationary_points(config), start)
 
 
 @settings(derandomize=True, max_examples=15, deadline=None)

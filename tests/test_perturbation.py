@@ -13,6 +13,8 @@ from nullsteer.perturbation import (
     zeno_time_estimate,
 )
 
+from helpers import regime_of
+
 # Rounded three-level inputs reproduce the desk-scale merge numbers.
 ROUNDED_CHAIN = ((-1.25, 0.445, 1.80), (0.108, 0.349, 0.543))
 
@@ -184,9 +186,8 @@ def test_zeno_bound_never_exceeds_measured_crossover(chain):
     for tau, tie_tol in ((0.05, 1e-9), (0.1, 1e-6), (0.2, 1e-6)):
         decomp = ns.spectral_decompose(model)
         est = zeno_time_estimate(decomp, tau)
-        spectrum = ns.full_spectrum(model, psi_d, tau)
         start = ns.site_state(model, "2")
-        measured = ns.classify_regime(spectrum, start, tie_tol=tie_tol).crossover_step
+        measured = regime_of(decomp, psi_d, tau, start, tie_tol=tie_tol).crossover_step
         assert est.n_bound <= measured
 
 
