@@ -64,35 +64,42 @@ class Charge:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class ChargeConfiguration:
-    """All level charges at a fixed sampling time tau.
+    """All level charges at a fixed sampling time tau, as level-ordered arrays.
 
-    Zero charges are kept (they mark fully dark levels) but are skipped by
-    the field and the stationary points.
+    ``p[k]``, ``energies[k]`` and ``phases[k]`` are level k's charge, energy
+    and unit-circle phase.  Zero charges are kept (they mark fully dark
+    levels) but are skipped by the field and the stationary points:
+    ``active`` indexes the others.  ``charges`` is the same data as
+    per-level ``Charge`` records of Python scalars.
     """
 
     tau: float
-    charges: tuple
+    p: np.ndarray
+    energies: np.ndarray
+    phases: np.ndarray
     zero_threshold: float = ZERO_CHARGE_THRESHOLD
 
     def __post_init__(self):
-        total = sum(c.p for c in self.charges)
+        total = float(self.p.sum())
         if abs(total - 1.0) > 1e-10:
             raise InvalidParameterError(
                 f"charges must sum to 1 (detection state normalization), got {total!r}"
             )
-        for c in self.charges:
-            if c.p < 0:
-                raise InvalidParameterError("charges must be nonnegative")
-            if abs(abs(c.phase) - 1.0) > 1e-12:
-                raise InvalidParameterError("charge phases must lie on the unit circle")
+        if (self.p < 0).any():
+            raise InvalidParameterError("charges must be nonnegative")
+        if (np.abs(np.abs(self.phases) - 1.0) > 1e-12).any():
+            raise InvalidParameterError("charge phases must lie on the unit circle")
 
-    def active_indices(self):
-        """Indices of the charges above the zero threshold, in level order."""
-        return [i for i, c in enumerate(self.charges) if c.p > self.zero_threshold]
-
+    @functools.cached_property
     def active(self):
-        """Charges above the zero threshold, in level order."""
-        return [self.charges[i] for i in self.active_indices()]
+        """Indices of the charges above the zero threshold, in level order."""
+        return np.flatnonzero(self.p > self.zero_threshold)
+
+    @functools.cached_property
+    def charges(self):
+        """Every level's ``Charge``, in level order."""
+        return tuple(map(Charge, self.p.tolist(), self.energies.tolist(),
+                         self.phases.tolist()))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -277,11 +284,9 @@ def _as_split(decomp, psi_d):
 
 def config_from_levels(energies, charge_values, tau, zero_threshold=ZERO_CHARGE_THRESHOLD):
     """Assemble a ChargeConfiguration directly from level data."""
-    charges_ = tuple(
-        Charge(float(p), float(e), complex(np.exp(-1j * float(e) * float(tau))))
-        for p, e in zip(charge_values, energies)
-    )
-    return ChargeConfiguration(float(tau), charges_, float(zero_threshold))
+    energies, tau = np.asarray(energies, dtype=float), float(tau)
+    return ChargeConfiguration(tau, np.asarray(charge_values, dtype=float), energies,
+                               np.exp(-1j * energies * tau), float(zero_threshold))
 
 
 def charges(decomp, psi_d, tau):
@@ -294,55 +299,49 @@ def charges(decomp, psi_d, tau):
     return config_from_levels(decomp.energies, split.p, tau, split.zero_threshold)
 
 
-def _alias_groups(config):
-    """Groups of active charge indices whose phases chain within ALIAS_TOL.
+def _alias_groups(phases, indices):
+    """Groups of ``indices`` whose ``phases`` chain within ALIAS_TOL.
 
     The phases are sorted by angle and cut wherever two neighbors lie at
     least ALIAS_TOL apart, the last and first neighbors across +-pi
     included; groups run by their smallest index.
     """
-    active = config.active_indices()
-    z = np.array([config.charges[i].phase for i in active], dtype=complex)
+    indices = np.asarray(indices, dtype=int)
+    z = phases[indices]
     order = np.argsort(np.angle(z), kind="stable")
     z = z[order]
     # The run of each phase in angle order: a new one at every cut.
-    runs = np.zeros(len(active), dtype=int)
+    runs = np.zeros(indices.size, dtype=int)
     runs[1:] = np.cumsum(np.abs(z[1:] - z[:-1]) >= ALIAS_TOL)
-    if len(active) and runs[-1] and abs(z[-1] - z[0]) < ALIAS_TOL:
+    if indices.size and runs[-1] and abs(z[-1] - z[0]) < ALIAS_TOL:
         runs[runs == runs[-1]] = 0
     groups = {}
-    for j, run in zip(order.tolist(), runs.tolist()):
-        groups.setdefault(run, []).append(active[j])
+    for i, run in zip(indices[order].tolist(), runs.tolist()):
+        groups.setdefault(run, []).append(i)
     return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
 
 
 def merged_charge_config(config, groups=None):
     """Aliased active charges merged into single effective charges.
 
-    ``groups`` is ``_alias_groups(config)``, computed here when not given.
+    ``groups`` is ``_alias_groups(config.phases, config.active)``, computed
+    here when not given.  The merged charges come first, then every other
+    level as it stands.
     """
     if groups is None:
-        groups = _alias_groups(config)
+        groups = _alias_groups(config.phases, config.active)
     if all(len(g) == 1 for g in groups):
         return config
+    p, e, z = config.p.tolist(), config.energies.tolist(), config.phases.tolist()
     merged = []
     for g in groups:
-        p = sum(config.charges[i].p for i in g)
-        phase = sum(config.charges[i].p * config.charges[i].phase for i in g) / p
-        phase = phase / abs(phase)
-        energy = sum(config.charges[i].p * config.charges[i].energy for i in g) / p
-        merged.append(Charge(p, energy, phase))
+        total = sum(p[i] for i in g)
+        phase = sum(p[i] * z[i] for i in g) / total
+        merged.append((total, sum(p[i] * e[i] for i in g) / total, phase / abs(phase)))
     grouped = {i for g in groups for i in g}
-    inert = [c for i, c in enumerate(config.charges) if i not in grouped]
     # Zero charges are kept for the normalization invariant.
-    return ChargeConfiguration(config.tau, tuple(merged) + tuple(inert), config.zero_threshold)
-
-
-def _active_arrays(config):
-    """Weights p and phases z of the active charges, as arrays."""
-    active = config.active()
-    p = np.array([c.p for c in active], dtype=float)
-    return p, np.array([c.phase for c in active], dtype=complex)
+    merged += [(p[i], e[i], z[i]) for i in range(len(p)) if i not in grouped]
+    return ChargeConfiguration(config.tau, *map(np.array, zip(*merged)), config.zero_threshold)
 
 
 def _field_terms(p, z, xi):
@@ -353,7 +352,7 @@ def _field_terms(p, z, xi):
 
 def field(config, xi):
     """F(xi) = sum over nonzero charges of p_k / (xi - phase_k)."""
-    p, z = _active_arrays(config)
+    p, z = config.p[config.active], config.phases[config.active]
     xi = complex(xi)
     near = np.flatnonzero(np.abs(xi - z) < 1e-12)
     if near.size:
@@ -419,8 +418,9 @@ def stationary_points(config):
     the 1e-8 cloud an eigensolver gives for a defective matrix; the others
     get a few Newton steps on F.
     """
-    groups = _alias_groups(config)
-    p, z = _active_arrays(merged_charge_config(config, groups))
+    groups = _alias_groups(config.phases, config.active)
+    merged = merged_charge_config(config, groups)
+    p, z = merged.p[merged.active], merged.phases[merged.active]
     if not p.size:
         raise NoBrightSubspaceError(
             "all charges are zero: the detection state is fully dark"
@@ -494,14 +494,13 @@ def disk_root_levels(config, roots):
     level's charge counts, dark ones included.  Roots within 1e-10 of a
     level phase raise RootTooCloseError.
     """
-    p = np.array([c.p for c in config.charges])
-    z = np.array([c.phase for c in config.charges])
+    p, z = config.p, config.phases
     xis = np.asarray(roots, dtype=complex)
     _guard_roots(xis, z, p)
     inv = 1.0 / (xis[:, None] - z)
     weights = p * (inv * inv.conj()).real
     norm = weights.sum(axis=1)
-    energies = weights @ np.array([c.energy for c in config.charges]) / norm
+    energies = weights @ config.energies / norm
     return energies, np.abs((inv * inv) @ (p * z)) / norm
 
 

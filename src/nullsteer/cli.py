@@ -293,8 +293,8 @@ def _run_perturb(rt, out_dir):
     scheme = options["scheme"]
     config = compute_charges(rt.decomp, rt.split, tau)
     for key in ("weak_index", "index_a", "index_b", "center_index", "pair_indices"):
-        if not all(0 <= i < len(config.charges) for i in np.ravel(options.get(key, []))):
-            raise ConfigError(f"perturb {key} must name levels 0..{len(config.charges) - 1}")
+        if not all(0 <= i < config.p.size for i in np.ravel(options.get(key, []))):
+            raise ConfigError(f"perturb {key} must name levels 0..{config.p.size - 1}")
     if scheme == "weak_charge":
         est = weak_charge_estimate(config, options["weak_index"], decomp=rt.decomp)
     elif scheme == "two_merge":

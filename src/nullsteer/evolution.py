@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .charges import DEFAULT_TIE_TOL, disk_root_levels
+from .charges import DEFAULT_TIE_TOL, _alias_groups, disk_root_levels
 from .errors import (
     CertainDetectionError,
     ExceptionalSpectrumError,
@@ -85,7 +85,7 @@ class AsymptoticRegime:
     """Large-n classification of one start at one tau.
 
     ``dominant`` holds the dominant disk roots, or for ``DarkDominated``
-    the phases that carry dark weight (one per level or alias group).
+    the phases that carry dark weight (one per group of aliased levels).
     """
 
     kind: str
@@ -238,8 +238,8 @@ def classify_regime(
     part of the group's bright span, sum_k |a_k|^2 with
     a_k = o_k / sqrt(p_k) - sqrt(p_k) (sum_g o) / (sum_g p); the predicted
     energy weighs each level's energy by its share, cross-level terms
-    included, and ``dominant`` holds the phase of each level or alias group
-    whose weight is above ``dark_overlap_tol``.  Otherwise the disk roots
+    included, and ``dominant`` holds the phase of each alias group of levels,
+    dark ones too, weighing above ``dark_overlap_tol``.  Otherwise the disk roots
     within ``tie_tol`` of the top modulus decide between a fixed point
     (single root) and persistent oscillation (tied pair or larger,
     reported with the full tie); ``dominant`` holds those roots.
@@ -250,7 +250,7 @@ def classify_regime(
     disk root and xi_2 the largest one outside its tie.
     """
     split = start.split
-    if config.zero_threshold != split.zero_threshold or len(config.charges) != start.o.size:
+    if config.zero_threshold != split.zero_threshold or config.p.size != start.o.size:
         raise InvalidParameterError("the charges and the start come from different splits")
     disk = _disk_roots(stationary)
     root_energies, overlaps = disk_root_levels(config, disk)
@@ -261,8 +261,7 @@ def classify_regime(
 
     weights = start.dark.copy()
     for g in aliased:
-        p = np.array([config.charges[k].p for k in g])
-        o = start.o[g]
+        p, o = config.p[g], start.o[g]
         weights[g] += np.abs(o / np.sqrt(p) - np.sqrt(p) * (o.sum() / p.sum())) ** 2
     total = float(weights.sum())
     dark_dominated = total > dark_overlap_tol
@@ -279,11 +278,10 @@ def classify_regime(
     if exceptional:
         return AsymptoticRegime(EXCEPTIONAL, (), crossover)
     if dark_dominated:
-        energy = float(weights @ np.array([c.energy for c in config.charges]) / total)
-        grouped = {k for g in aliased for k in g}
-        carriers = sorted(aliased + [[k] for k in range(weights.size) if k not in grouped])
-        dominant = tuple(config.charges[g[0]].phase for g in carriers
-                         if weights[g].sum() > dark_overlap_tol)
+        energy = float(weights @ config.energies / total)
+        dominant = tuple(complex(config.phases[g[0]])
+                         for g in _alias_groups(config.phases, range(weights.size))
+                         if weights[list(g)].sum() > dark_overlap_tol)
         return AsymptoticRegime(DARK_DOMINATED, dominant, crossover,
                                 predicted_energy=energy)
     if not disk:

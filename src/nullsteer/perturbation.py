@@ -79,7 +79,7 @@ def weak_charge_estimate(config, weak_index, decomp=None):
     xi ~ phase_0 - eps with eps = p_0 / sum_{k != 0} p_k / (phase_0 - phase_k).
     The final state is the weak level's eigenstate.
     """
-    weak, active = config.charges[weak_index], config.active_indices()
+    weak, active = config.charges[weak_index], config.active.tolist()
     if weak_index not in active:
         raise NotApplicableError(
             "the weak level is exactly dark; use the dark-state machinery"
@@ -174,7 +174,7 @@ def triple_charge_estimate(config, center_index, pair_indices, delta=None):
     ia, ib = pair_indices
     center = config.charges[center_index]
     ca, cb = config.charges[ia], config.charges[ib]
-    active = config.active_indices()
+    active = config.active.tolist()
     if center_index not in active:
         raise NotApplicableError("triple-charge needs a nonzero center charge")
     if abs(ca.p - cb.p) > 1e-8 * max(ca.p, cb.p, 1e-30):
@@ -240,8 +240,8 @@ def zeno_time_estimate(decomp, tau, config=None):
     t_asym = 8.0 / (de * de * tau)
     note = None
     if config is not None:
-        active_e = [c.energy for c in config.active()]
-        if active_e and (max(active_e) - min(active_e)) < de - 1e-12:
+        active_e = config.energies[config.active]
+        if active_e.size and np.ptp(active_e) < de - 1e-12:
             note = _warn(
                 "zero-charge levels widen dE: the convex hull of active charges "
                 "would give a sharper bound"

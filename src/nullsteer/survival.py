@@ -164,8 +164,8 @@ def _cross_level_darks(split, config, groups):
     triples = []
     for group in (g for g in groups if len(g) > 1):
         brights = np.column_stack([split.bright(k) for k in group])
-        alphas = np.sqrt([config.charges[k].p for k in group])
-        phase = config.charges[group[0]].phase
+        alphas = np.sqrt(config.p[list(group)])
+        phase = complex(config.phases[group[0]])
         for v in _dark_combinations(brights, alphas):
             energy = split.decomp.mean_energy(v)
             triples.append(

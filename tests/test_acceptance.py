@@ -157,7 +157,7 @@ def test_criterion_05_tree_structure_and_dominant_roots(tree):
     ref = helpers.glued_tree_reference_energies(3)
     table_dev = float(np.max(np.abs(np.sort(level_energies) - np.sort(ref))))
     darks = ns.dark_states(decomp, psi_d, 1.2)
-    active = len(ns.charges(decomp, psi_d, 1.2).active())
+    active = len(ns.charges(decomp, psi_d, 1.2).active)
 
     root12 = max(ns.stationary_points(ns.charges(decomp, psi_d, 1.2)).roots,
                  key=abs)

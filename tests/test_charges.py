@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -53,7 +54,21 @@ def test_tree_charges_are_chain_weights(tree):
         assert abs(config.charges[level].p - want) < 1e-12
     for level in (1, 3, 7, 9):
         assert config.charges[level].p < 1e-20
-    assert len(config.active()) == 7
+    assert len(config.active) == 7
+
+
+def test_configuration_holds_level_arrays(tree):
+    _, decomp, psi_d = tree
+    config = ns.charges(decomp, psi_d, 1.0)
+    assert np.array_equal(config.energies, decomp.energies)
+    assert np.array_equal(config.phases, np.exp(-1j * decomp.energies))
+    assert config.active.tolist() == [0, 2, 4, 5, 6, 8, 10]
+    # the per-level view holds Python scalars equal to the array entries
+    for k, c in enumerate(config.charges):
+        assert (type(c.p), type(c.energy), type(c.phase)) == (float, float, complex)
+        assert (c.p, c.energy, c.phase) == (config.p[k], config.energies[k], config.phases[k])
+    assert not hasattr(ns.ChargeConfiguration, "active_indices")
+    assert not hasattr(importlib.import_module("nullsteer.charges"), "_active_arrays")
 
 
 def test_configuration_validation():
@@ -62,9 +77,8 @@ def test_configuration_validation():
     with pytest.raises(InvalidParameterError):
         ns.config_from_levels((0.0, 1.0), (-0.1, 1.1), 1.0)
     cfg = ns.config_from_levels((0.0, 1.0), (0.5, 0.5), 1.0)
-    bad = ns.Charge(0.5, 0.0, 1.1 + 0.0j)
     with pytest.raises(InvalidParameterError):
-        ns.ChargeConfiguration(1.0, (bad, cfg.charges[1]))
+        ns.ChargeConfiguration(1.0, cfg.p, cfg.energies, np.array([1.1 + 0.0j, cfg.phases[1]]))
 
 
 def test_field_values_and_pole(chain):
@@ -162,7 +176,7 @@ def test_no_bright_subspace():
     cfg = ns.config_from_levels((0.0, 1.0, 2.0), (0.0, 1.0, 0.0), 1.0)
     # drop the only active charge below threshold by merging into darkness
     dark = ns.ChargeConfiguration(
-        1.0, cfg.charges, zero_threshold=2.0
+        1.0, cfg.p, cfg.energies, cfg.phases, zero_threshold=2.0
     )
     with pytest.raises(NoBrightSubspaceError):
         ns.stationary_points(dark)
@@ -219,12 +233,13 @@ def charge_configs(draw):
 def test_stationary_point_properties(cfg):
     """w active charges pin exactly w-1 roots, all inside the closed disk."""
     sp = ns.stationary_points(cfg)
-    assert len(sp.roots) == len(cfg.active()) - 1
+    assert len(sp.roots) == len(cfg.active) - 1
     for r, res in zip(sp.roots, sp.residuals):
         assert abs(r) <= 1.0 + 1e-9
         assert res < 1e-8
         if r != 0:  # moment-counted zeros report |F(0)| itself
-            f, fp = ns.field(cfg, r), sum(c.p / (r - c.phase) ** 2 for c in cfg.active())
+            f, fp = ns.field(cfg, r), sum(cfg.charges[i].p / (r - cfg.charges[i].phase) ** 2
+                                          for i in cfg.active)
             assert abs(f) < 1e-8 + 1e-14 * abs(fp)
     mods = [abs(r) for r in sp.roots]
     assert abs(sp.max_abs - max(mods)) < 1e-15
@@ -258,14 +273,14 @@ def test_wide_charge_roots_stay_in_the_hull(w, levels):
         assert np.all(np.abs(roots) < 1.0)
         # F(xi) = 0 makes xi a positive combination of the phases, so every
         # root lies left of each counterclockwise edge of their hull.
-        phases = np.array(sorted((c.phase for c in cfg.active()), key=np.angle))
+        phases = np.array(sorted(cfg.phases[cfg.active], key=np.angle))
         edges = np.roll(phases, -1) - phases
         side = (edges.conj() * (roots[:, None] - phases)).imag
         assert side.min() > -1e-14
         # A root right next to a weak charge has |F'| up to 1e10, so |F| is
         # allowed what a 1e-14 error in the root's position explains.
-        p = np.array([c.p for c in cfg.active()])
-        inv = 1.0 / (roots[:, None] - np.array([c.phase for c in cfg.active()]))
+        p = cfg.p[cfg.active]
+        inv = 1.0 / (roots[:, None] - cfg.phases[cfg.active])
         f, fp = inv @ p, (inv * inv) @ p
         assert np.all(np.abs(f) < 1e-8 + 1e-14 * np.abs(fp))
 

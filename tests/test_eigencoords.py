@@ -214,16 +214,19 @@ def test_sweep_decomposes_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("experiment", ["sweep-tau", "regime"])
 def test_sweep_solves_each_tau_once_and_builds_no_vectors(tmp_path, monkeypatch, experiment):
-    # The regime is classified level-wise: per tau only the charges and
-    # their stationary points, and no dark or disk vector at all.
+    # The regime is classified level-wise: per tau only the charge arrays
+    # and their stationary points, and no dark or disk vector at all, nor
+    # any per-level Charge record.
     solve = _count_calls(monkeypatch, ns.stationary_points)
     vectors = [_count_calls(monkeypatch, fn)
                for fn in (ns.full_spectrum, ns.dark_states, ns.disk_eigenpairs)]
+    records = _count_method_calls(monkeypatch, ns.Charge, "__init__")
     tau = {"start": 0.3, "stop": 2.9, "steps": 60}
     run_experiment(_write(tmp_path, _tree_payload(4, tau, experiment)),
                    str(tmp_path / "out"))
     assert len(solve) == 60
     assert [len(calls) for calls in vectors] == [0, 0, 0]
+    assert not records
 
 
 def test_sweep_resolves_the_initial_state_once(tmp_path, monkeypatch):
@@ -259,7 +262,7 @@ def test_sweep_rows_match_fresh_spectra(tmp_path):
         except ns.BoundNotApplicableError:
             bound = float("nan")
         assert row[0] == format_value(tau)
-        assert row[5] == format_value(model.dim - len(merged.active()))
+        assert row[5] == format_value(model.dim - len(merged.active))
         assert row[6] == format_value(bound)
         # the kind against a dark weight summed over the circle triples
         assert row[7] == vector_route_regime(spectrum, psi_in)[0]

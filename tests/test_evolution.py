@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 import nullsteer as ns
 from nullsteer import CertainDetectionError, UnsupportedMultiplicityError
+from nullsteer.charges import ALIAS_TOL
 
 from nullsteer.configio import resolve_state
 
-from helpers import random_model, regime_of, vector_route_regime
+from helpers import random_model, random_unitary, regime_of, vector_route_regime
 
 
 def _machinery(model, decomp, psi_d, tau):
@@ -225,7 +226,8 @@ def _dense_dark_projector(u, psi_d):
     """Projector onto the states S keeps on the unit circle, from the dense U.
 
     Within each eigenspace of U (a null space of U - lambda), the part
-    orthogonal to the detector's projection on it is dark.
+    orthogonal to the detector's projection on it is dark; an eigenspace
+    the detector does not reach (charge at most 1e-12) is dark as a whole.
     """
     dim = u.shape[0]
     phases = []
@@ -238,7 +240,9 @@ def _dense_dark_projector(u, psi_d):
         null = vh[s < 1e-9].conj().T
         q = null @ null.conj().T
         b = q @ psi_d
-        proj += q - np.outer(b, b.conj()) / np.vdot(b, b).real
+        if np.vdot(b, b).real > 1e-12:
+            q = q - np.outer(b, b.conj()) / np.vdot(b, b).real
+        proj += q
     return proj
 
 
@@ -259,6 +263,59 @@ def test_three_aliased_levels_predict_the_dark_subspace_energy():
     assert abs(regime.predicted_energy - want) < 1e-9
     # one phase carries the dark weight, however many dark vectors span it
     assert regime.dominant == (1.0 + 0j,)
+
+
+def test_dark_levels_sharing_a_phase_give_one_dominant_entry():
+    """Dark levels 0 and 2 pi share the phase 1 at tau = 1: one carrier."""
+    model = ns.build_custom(np.diag([0.0, 2.0 * math.pi, 1.0]))
+    regime = regime_of(model, ns.site_state(model, "2"), 1.0, np.array([1.0, 1.0, 0.3]))
+    assert regime.kind == "DarkDominated"
+    assert len(regime.dominant) == 1
+    assert regime.predicted_energy == 3.141592653589793
+
+
+def _aliased_model(seed, aliased, rotate):
+    """A random model whose 2-4 aliased levels sit at E_0 + 2 pi m / tau.
+
+    ``aliased`` says which of them the detector reaches: none ("dark"), all
+    ("bright") or some ("both"); every other level is bright.  H is
+    diagonal, or in a random basis when ``rotate``.  Returns
+    (model, detector, start, tau).
+    """
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(3, 9))
+    tau = float(rng.uniform(1.0, 2.0))
+    levels = rng.choice(dim, size=int(rng.integers(2, min(4, dim - 1) + 1)), replace=False)
+    energies = rng.uniform(-2.0, 2.0, size=dim)
+    m = rng.choice([-2, -1, 1, 2], size=levels.size - 1, replace=False)
+    energies[levels[1:]] = energies[levels[0]] + 2.0 * math.pi * m / tau
+    c = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    n_dark = {"dark": levels.size, "bright": 0,
+              "both": int(rng.integers(1, levels.size))}[aliased]
+    c[levels[:n_dark]] = 0.0
+    q = random_unitary(rng, dim) if rotate else np.eye(dim)
+    model = ns.build_custom((q * energies) @ q.conj().T)
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return model, q @ c / np.linalg.norm(c), psi / np.linalg.norm(psi), tau
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(["dark", "bright", "both"]), st.booleans())
+def test_aliased_levels_regime_matches_the_dense_dark_projector(seed, aliased, rotate):
+    model, psi_d, psi, tau = _aliased_model(seed, aliased, rotate)
+    decomp = ns.spectral_decompose(model)
+    split = ns.DetectorSplit(decomp, psi_d)
+    config = ns.charges(decomp, split, tau)
+    sp = ns.stationary_points(config)
+    assert sp.roots == ns.stationary_points(ns.merged_charge_config(config)).roots
+    regime = ns.classify_regime(config, sp, split.weigh(psi))
+    assert regime.kind == "DarkDominated"
+    dominant = np.array(regime.dominant)
+    gaps = np.abs(dominant[:, None] - dominant)[np.triu_indices(dominant.size, 1)]
+    assert np.all(gaps >= ALIAS_TOL)
+    d = _dense_dark_projector(ns.propagator(decomp, tau), psi_d) @ psi
+    want = float(np.vdot(d, model.hamiltonian @ d).real / np.vdot(d, d).real)
+    assert abs(regime.predicted_energy - want) < 1e-9
 
 
 def _pr10_regime_set():
