@@ -27,7 +27,6 @@ from .errors import (
 from .models import (
     DetectionState,
     HermitianModel,
-    Level,
     SpectralDecomposition,
     build_custom,
     build_exceptional_three_level,
@@ -75,7 +74,6 @@ from .evolution import (
     AsymptoticRegime,
     OscillationDescriptor,
     Trajectory,
-    TrajectoryRecord,
     classify_regime,
     energy_conservation_check,
     evolve,

@@ -175,8 +175,9 @@ class DetectorSplit:
     dark vectors, the charge groups and ``energy_state`` members all read it.
     ``vector`` is the detection state, so a split may be passed wherever a
     detection state is expected; the functions taking (decomp, psi_d) read
-    from it when it belongs to their decomposition.  Building a split is
-    the one way to set a threshold other than ZERO_CHARGE_THRESHOLD.
+    from it when it belongs to their decomposition, and otherwise split
+    its detection state at its threshold.  Building a split is the one way
+    to set a threshold other than ZERO_CHARGE_THRESHOLD.
     """
 
     decomp: SpectralDecomposition
@@ -192,13 +193,8 @@ class DetectorSplit:
         return self.decomp.coords(self.vector)
 
     @functools.cached_property
-    def starts(self):
-        """Index of each level's first column in V."""
-        return np.cumsum([0] + [lv.degeneracy for lv in self.decomp.levels[:-1]])
-
-    @functools.cached_property
     def p(self):
-        return np.add.reduceat((self.c * self.c.conj()).real, self.starts)
+        return np.add.reduceat((self.c * self.c.conj()).real, self.decomp.starts[:-1])
 
     @functools.cached_property
     def bright_levels(self):
@@ -207,13 +203,11 @@ class DetectorSplit:
 
     def overlaps(self, k):
         """Detector overlaps <E_l|psi_d> of level k's members."""
-        start = self.starts[k]
-        return self.c[start : start + self.decomp.levels[k].degeneracy]
+        return self.c[self.decomp.starts[k] : self.decomp.starts[k + 1]]
 
     def bright(self, k):
         """Normalized projection of the detector onto level k (p_k > 0)."""
-        lv = self.decomp.levels[k]
-        return (lv.eigenvectors @ self.overlaps(k)) / math.sqrt(self.p[k])
+        return (self.decomp.members(k) @ self.overlaps(k)) / math.sqrt(self.p[k])
 
     @functools.cached_property
     def darks(self):
@@ -228,15 +222,15 @@ class DetectorSplit:
         """
         bright = set(self.bright_levels.tolist())
         out = []
-        for k, lv in enumerate(self.decomp.levels):
-            a, seeds = self.overlaps(k), []
+        for k in range(self.decomp.w):
+            members, a, seeds = self.decomp.members(k), self.overlaps(k), []
             if k in bright:
-                order = sorted(range(lv.degeneracy), key=lambda l: (-abs(a[l]), l))
+                order = sorted(range(a.size), key=lambda l: (-abs(a[l]), l))
                 seeds = order[:1] + [l for l in order[1:] if abs(a[l]) >= ORTHOGONALITY_TOL]
-            rest = [l for l in range(lv.degeneracy) if l not in seeds]
-            out += [(k, v) for v in _phase_fix(lv.eigenvectors[:, rest]).T.copy()]
+            rest = [l for l in range(a.size) if l not in seeds]
+            out += [(k, v) for v in _phase_fix(members[:, rest]).T.copy()]
             if seeds:
-                out += [(k, v) for v in _dark_combinations(lv.eigenvectors[:, seeds], a[seeds])]
+                out += [(k, v) for v in _dark_combinations(members[:, seeds], a[seeds])]
         for _, v in out:
             v.setflags(write=False)
         return tuple(out)
@@ -248,13 +242,14 @@ class DetectorSplit:
         level once the detector's projection is taken out (all of it on a
         dark level), summed with ``np.add.reduceat`` like the charges.
         """
+        firsts = self.decomp.starts[:-1]
         x = self.decomp.coords(psi)
         x = x / np.linalg.norm(x)
-        o = np.add.reduceat(self.c.conj() * x, self.starts)
+        o = np.add.reduceat(self.c.conj() * x, firsts)
         ratio = np.zeros(o.size, dtype=complex)
         ratio[self.bright_levels] = o[self.bright_levels] / self.p[self.bright_levels]
-        rest = x - self.c * np.repeat(ratio, [lv.degeneracy for lv in self.decomp.levels])
-        return StartWeights(self, np.add.reduceat((rest * rest.conj()).real, self.starts), o)
+        rest = x - self.c * np.repeat(ratio, self.decomp.degeneracies)
+        return StartWeights(self, np.add.reduceat((rest * rest.conj()).real, firsts), o)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -275,11 +270,14 @@ class StartWeights:
 
 
 def _as_split(decomp, psi_d):
-    """``psi_d`` when it is a split of ``decomp``, else a new split of it at
-    the default threshold."""
-    if isinstance(psi_d, DetectorSplit) and psi_d.decomp is decomp:
+    """``psi_d`` when it is a split of ``decomp``; a split of another
+    decomposition is rebuilt on ``decomp`` with its own threshold, and a
+    plain detection state is split at the default one."""
+    if not isinstance(psi_d, DetectorSplit):
+        return DetectorSplit(decomp, psi_d)
+    if psi_d.decomp is decomp:
         return psi_d
-    return DetectorSplit(decomp, psi_d)
+    return DetectorSplit(decomp, psi_d.detection, psi_d.zero_threshold)
 
 
 def config_from_levels(energies, charge_values, tau, zero_threshold=ZERO_CHARGE_THRESHOLD):

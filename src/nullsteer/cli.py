@@ -177,23 +177,15 @@ def _run_evolve(rt, out_dir, dump_states):
         "cumulative_no_detection_probability",
         "phase",
     ]
+    columns = (traj.mean_energy, traj.survival_amplitude,
+               traj.cumulative_no_detection_probability, traj.phase)
+    rows = [[n, *values] for n, values in enumerate(zip(*(c.tolist() for c in columns)))]
     if dump_states:
         for label in rt.model.basis_labels:
             header += [f"re_{label}", f"im_{label}"]
-        states = traj.states()
-    rows = []
-    for n, rec in enumerate(traj.records):
-        row = [
-            n,
-            rec.mean_energy,
-            rec.survival_amplitude,
-            rec.cumulative_no_detection_probability,
-            rec.phase,
-        ]
-        if dump_states:
-            for amp in states[n]:
+        for row, state in zip(rows, traj.states()):
+            for amp in state:
                 row += [float(amp.real), float(amp.imag)]
-        rows.append(row)
     path = os.path.join(out_dir, "trajectory.csv")
     write_csv(path, tuple(header), rows)
     return [path]
@@ -432,7 +424,7 @@ def _figure_columns(fig):
             trajectories[key] = evolve(S, psi_in, fig["n_steps"])
         traj = trajectories[key]
         columns.append(np.abs(traj.states() @ site_state(rt.model, *site)) ** 2
-                       if site else traj.energies())
+                       if site else traj.mean_energy)
     return "n", range(fig["n_steps"] + 1), columns
 
 

@@ -329,14 +329,13 @@ def _vector_from_spec(spec, dim):
 def aligned_member(decomp, psi_d, level_index, member_index):
     """Resolve [k, l] with member 0 = bright projection, 1.. = dark combos.
 
-    ``psi_d`` may be a DetectorSplit of ``decomp``; its threshold then
-    decides whether level k is bright.
+    ``psi_d`` may be a DetectorSplit; its threshold then decides whether
+    level k is bright.
     """
     if not 0 <= level_index < decomp.w:
         raise ConfigError(
             f"energy_state level {level_index} out of range 0..{decomp.w - 1}"
         )
-    level = decomp.levels[level_index]
     if psi_d is not None:
         split = _as_split(decomp, psi_d)
         if level_index in split.bright_levels:
@@ -348,12 +347,13 @@ def aligned_member(decomp, psi_d, level_index, member_index):
                     f"{level_index} (bright + {len(darks)} dark members)"
                 )
             return basis[member_index].copy()
-    if not 0 <= member_index < level.degeneracy:
+    members = decomp.members(level_index)
+    if not 0 <= member_index < members.shape[1]:
         raise ConfigError(
             f"energy_state member {member_index} out of range for level "
-            f"{level_index} (degeneracy {level.degeneracy})"
+            f"{level_index} (degeneracy {members.shape[1]})"
         )
-    return level.eigenvectors[:, member_index].copy()
+    return members[:, member_index].copy()
 
 
 def resolve_state(spec, model, decomp, psi_d=None):

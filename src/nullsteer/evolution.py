@@ -41,43 +41,29 @@ EXCEPTIONAL = "Exceptional"
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class TrajectoryRecord:
-    """One step; ``vector`` is the state in the coordinates evolve worked in.
+class Trajectory:
+    """Arrays over the steps n = 0..n_steps, the initial state included.
 
-    ``basis`` maps those coordinates to the site basis (None when they are
-    the site basis); ``state`` is the site-basis state, formed on access.
+    Row n of ``coords`` is the state after n steps in the coordinates
+    evolve worked in; ``basis`` maps them to the site basis (None when
+    they are the site basis).  The other arrays hold one value per step.
     """
 
-    vector: np.ndarray
-    survival_amplitude: float
-    cumulative_no_detection_probability: float
-    mean_energy: float
-    phase: float
+    coords: np.ndarray
+    survival_amplitude: np.ndarray
+    cumulative_no_detection_probability: np.ndarray
+    mean_energy: np.ndarray
+    phase: np.ndarray
     basis: np.ndarray = None
 
     @property
-    def state(self):
-        return self.vector if self.basis is None else self.basis @ self.vector
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class Trajectory:
-    """Per-step records, including the n = 0 initial state."""
-
-    records: tuple
-    n_steps: int
+    def n_steps(self):
+        return self.coords.shape[0] - 1
 
     def states(self):
         """(n_steps + 1, dim) site-basis states, converted in one product."""
-        x = np.array([r.vector for r in self.records])
-        basis = self.records[0].basis
-        return x if basis is None else (basis @ x.T).T
-
-    def energies(self):
-        return np.array([r.mean_energy for r in self.records])
-
-    def amplitudes(self):
-        return np.array([r.survival_amplitude for r in self.records])
+        x = self.coords
+        return x if self.basis is None else (self.basis @ x.T).T
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -150,7 +136,9 @@ def evolve(S, psi_in, n_steps, H=None):
             return float(np.real(np.vdot(v, h @ v)))
 
     psi = psi / np.linalg.norm(psi)
-    records = [TrajectoryRecord(psi, 1.0, 1.0, energy(psi), 0.0, basis)]
+    coords = np.empty((n_steps + 1, psi.size), dtype=complex)
+    amps, probs, energies, phases = np.ones((4, n_steps + 1))
+    coords[0], energies[0], phases[0] = psi, energy(psi), 0.0
     log_p = 0.0
     phase = 0.0
     for n in range(1, n_steps + 1):
@@ -161,10 +149,9 @@ def evolve(S, psi_in, n_steps, H=None):
         phase += float(np.angle(np.vdot(psi, raw)))
         psi = raw / amp
         log_p += 2.0 * math.log(amp)
-        records.append(
-            TrajectoryRecord(psi, amp, math.exp(log_p), energy(psi), phase, basis)
-        )
-    return Trajectory(tuple(records), n_steps)
+        coords[n], amps[n], probs[n] = psi, amp, math.exp(log_p)
+        energies[n], phases[n] = energy(psi), phase
+    return Trajectory(coords, amps, probs, energies, phases, basis)
 
 
 def _spectral_terms(spectrum, psi):
@@ -333,5 +320,5 @@ def oscillation_descriptor(regime, spectrum, psi_in):
 
 def energy_conservation_check(trajectory, tolerance):
     """True iff the mean energy never drifts from its initial value."""
-    e = trajectory.energies()
+    e = trajectory.mean_energy
     return bool(np.max(np.abs(e - e[0])) < tolerance)

@@ -29,8 +29,9 @@ class HermitianModel:
 
     Attributes
     ----------
-    hamiltonian : (dim, dim) complex ndarray
-        Exactly Hermitian matrix (stored symmetrized).
+    hamiltonian : (dim, dim) float64 or complex128 ndarray
+        Exactly Hermitian matrix (stored symmetrized).  It is stored as
+        float64 when it has no imaginary part, complex128 otherwise.
     basis_labels : tuple of str
         One label per basis vector, e.g. "(1,1)" for tree vertices or
         "G"/"D"/"B" for the atom.
@@ -40,7 +41,11 @@ class HermitianModel:
     basis_labels: tuple
 
     def __post_init__(self):
-        h = np.asarray(self.hamiltonian, dtype=complex)
+        h = np.asarray(self.hamiltonian)
+        if np.iscomplexobj(h) and h.imag.any():
+            h = h.astype(complex, copy=False)
+        else:
+            h = np.ascontiguousarray(h.real, dtype=float)
         if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] < 2:
             raise InvalidParameterError("hamiltonian must be square with dim >= 2")
         if h.shape[0] != len(self.basis_labels):
@@ -60,43 +65,42 @@ class HermitianModel:
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class Level:
-    """One distinct energy level: energy, degeneracy, orthonormal eigenbasis.
-
-    ``eigenvectors`` has shape (dim, degeneracy); columns are the members.
-    """
-
-    energy: float
-    degeneracy: int
-    eigenvectors: np.ndarray
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Distinct levels of a Hermitian model, sorted ascending in energy.
 
-    ``vectors`` is the eigenvector matrix V, columns in level order, and
-    each level's ``eigenvectors`` is a column slice (a view) of it.  V is
-    real when H is real and read-only either way.  ``column_energies``
-    gives each column its level energy, so H = V diag(e) V^dag.
+    ``vectors`` is the eigenvector matrix V, columns in level order.  Level
+    k has energy ``energies[k]`` and owns the columns
+    ``starts[k]:starts[k + 1]`` of V, its orthonormal eigenbasis
+    ``members(k)``; ``starts`` has w + 1 entries, the last one dim.  V is
+    real when H is real; all three arrays are read-only.
+    ``column_energies`` gives each column its level energy, so
+    H = V diag(e) V^dag.
     """
 
-    levels: tuple
-    w: int
-    grouping_tol: float
+    energies: np.ndarray
+    starts: np.ndarray
     vectors: np.ndarray
+    grouping_tol: float
 
     @property
     def dim(self):
         return self.vectors.shape[0]
 
     @property
-    def energies(self):
-        return np.array([lv.energy for lv in self.levels])
+    def w(self):
+        return self.energies.size
+
+    @functools.cached_property
+    def degeneracies(self):
+        return np.diff(self.starts)
 
     @functools.cached_property
     def column_energies(self):
-        return np.repeat(self.energies, [lv.degeneracy for lv in self.levels])
+        return np.repeat(self.energies, self.degeneracies)
+
+    def members(self, k):
+        """Level k's eigenvectors, a (dim, degeneracy) column view of V."""
+        return self.vectors[:, self.starts[k] : self.starts[k + 1]]
 
     def coords(self, v):
         """Eigen-coordinates V^dag v of a site-basis state."""
@@ -107,13 +111,13 @@ class SpectralDecomposition:
         return float(self.column_energies @ (np.abs(self.coords(v)) ** 2))
 
     def projector(self, k):
-        v = self.levels[k].eigenvectors
+        v = self.members(k)
         return v @ v.conj().T
 
     def hamiltonian(self):
         h = np.zeros((self.dim, self.dim), dtype=complex)
-        for lv in self.levels:
-            h += lv.energy * (lv.eigenvectors @ lv.eigenvectors.conj().T)
+        for k, energy in enumerate(self.energies.tolist()):
+            h += energy * self.projector(k)
         return h
 
 
@@ -163,7 +167,7 @@ def _require_positive(**params):
 def build_two_level(gamma):
     """Two sites coupled by a hopping amplitude gamma; spectrum {-gamma, +gamma}."""
     _require_positive(gamma=gamma)
-    h = np.array([[0.0, -gamma], [-gamma, 0.0]], dtype=complex)
+    h = np.array([[0.0, -gamma], [-gamma, 0.0]])
     return HermitianModel(h, ("l", "r"))
 
 
@@ -174,9 +178,7 @@ def build_three_level_chain(gamma):
     gamma=1 spectrum is (-1.247, 0.445, 1.802) with trace +1.
     """
     _require_positive(gamma=gamma)
-    h = gamma * np.array(
-        [[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]], dtype=complex
-    )
+    h = gamma * np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
     return HermitianModel(h, ("0", "1", "2"))
 
 
@@ -191,8 +193,7 @@ def build_v_atom(E_G, E_D, E_B, gamma1, gamma2):
             [E_D, gamma1, 0.0],
             [gamma1, E_G, gamma2],
             [0.0, gamma2, E_B],
-        ],
-        dtype=complex,
+        ]
     )
     return HermitianModel(h, ("D", "G", "B"))
 
@@ -232,7 +233,7 @@ def build_glued_tree(d):
     for j in range(2 * d + 1):
         for s in range(sizes[j]):
             labels.append(f"({j + 1},{s + 1})")
-    return HermitianModel(-adj.astype(complex), tuple(labels))
+    return HermitianModel(-adj, tuple(labels))
 
 
 def build_exceptional_three_level(gamma):
@@ -247,8 +248,7 @@ def build_exceptional_three_level(gamma):
             [0.0, -1.0 / s2, 1.0 / s6],
             [-1.0 / s2, -0.5, -1.0 / (2.0 * s3)],
             [1.0 / s6, -1.0 / (2.0 * s3), 0.5],
-        ],
-        dtype=complex,
+        ]
     )
     return HermitianModel(h, ("0", "1", "2"))
 
@@ -289,39 +289,34 @@ def site_state(model, label):
 def spectral_decompose(model, grouping_tol=None):
     """Eigendecompose a model and group degenerate levels.
 
-    A Hamiltonian with no imaginary part goes to the real-symmetric solver
-    and gives a real V; any other goes to the complex Hermitian one.
-    Eigenvalues are clustered by transitive closure of |E_i - E_j| <=
-    grouping_tol (default 1e-8 times the spectral radius); each cluster's
-    eigenvectors are the solver's orthonormal columns, kept as views of V.
+    The solver gets the stored H, so a real H (stored as float64) gives a
+    real V.  Eigenvalues are clustered by transitive closure of
+    |E_i - E_j| <= grouping_tol (default 1e-8 times the spectral radius):
+    a level ends wherever two neighbours lie further apart.  Each level's
+    energy is the mean of its eigenvalues.
     """
-    h = model.hamiltonian
     try:
-        evals, vecs = np.linalg.eigh(h if h.imag.any() else h.real)
+        evals, vecs = np.linalg.eigh(model.hamiltonian)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigensolver failed: {exc}") from exc
-    vecs.flags.writeable = False
     radius = float(np.max(np.abs(evals))) if evals.size else 0.0
     if grouping_tol is None:
         grouping_tol = DEFAULT_GROUPING_REL_TOL * radius
     if grouping_tol < 0:
         raise InvalidParameterError("grouping_tol must be nonnegative")
 
-    levels = []
-    start = 0
-    for i in range(1, len(evals) + 1):
-        if i == len(evals) or evals[i] - evals[i - 1] > grouping_tol:
-            energy = float(np.mean(evals[start:i]))
-            levels.append(Level(energy, i - start, vecs[:, start:i]))
-            start = i
-    return SpectralDecomposition(tuple(levels), len(levels), float(grouping_tol), vecs)
+    cuts = np.flatnonzero(np.diff(evals) > grouping_tol) + 1
+    starts = np.concatenate(([0], cuts, [evals.size]))
+    energies = np.array([np.mean(evals[a:b]) for a, b in zip(starts[:-1], starts[1:])])
+    for array in (energies, starts, vecs):
+        array.flags.writeable = False
+    return SpectralDecomposition(energies, starts, vecs, float(grouping_tol))
 
 
 def propagator(decomp, tau):
     """U(tau) = sum_k exp(-i E_k tau) P_k over the distinct levels."""
     _require_finite(tau=tau)
-    dim = decomp.dim
-    u = np.zeros((dim, dim), dtype=complex)
-    for lv in decomp.levels:
-        u += np.exp(-1j * lv.energy * tau) * (lv.eigenvectors @ lv.eigenvectors.conj().T)
+    u = np.zeros((decomp.dim, decomp.dim), dtype=complex)
+    for k, energy in enumerate(decomp.energies.tolist()):
+        u += np.exp(-1j * energy * tau) * decomp.projector(k)
     return u

@@ -101,8 +101,8 @@ def weak_charge_estimate(config, weak_index, decomp=None):
     xi = weak.phase - eps
 
     state = None
-    if decomp is not None and decomp.levels[weak_index].degeneracy == 1:
-        state = decomp.levels[weak_index].eigenvectors[:, 0].copy()
+    if decomp is not None and decomp.degeneracies[weak_index] == 1:
+        state = decomp.members(weak_index)[:, 0].copy()
     return PerturbationEstimate(
         WEAK_CHARGE,
         (complex(xi),),
@@ -142,8 +142,7 @@ def two_merge_estimate(config, index_a, index_b, decomp=None, psi_d=None):
     state = None
     if decomp is not None and psi_d is not None:
         psi = as_vector(psi_d)
-        va = decomp.levels[index_a].eigenvectors
-        vb = decomp.levels[index_b].eigenvectors
+        va, vb = decomp.members(index_a), decomp.members(index_b)
         state = (va @ (va.conj().T @ psi)) / a.p - (vb @ (vb.conj().T @ psi)) / b.p
         state = state / np.linalg.norm(state)
     return PerturbationEstimate(

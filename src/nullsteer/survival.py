@@ -149,7 +149,7 @@ def dark_states(decomp, psi_d, tau):
     phases = np.exp(-1j * decomp.energies * tau)
     return [
         EigenTriple(complex(phases[k]), v, v, KIND_CIRCLE, source_level=k,
-                    energy=decomp.levels[k].energy)
+                    energy=float(decomp.energies[k]))
         for k, v in _as_split(decomp, psi_d).darks
     ]
 
@@ -293,13 +293,13 @@ def full_spectrum(model, psi_d, tau, grouping_tol=None):
 
 
 def completeness_check(spectrum):
-    """Max deviation of sum |R><L| / <L|R> from the identity."""
+    """Max deviation of sum |R><L| / <L|R> from the identity, in one product
+    (R / <L|R>) L^dag of the triples' stacked columns."""
     if spectrum.exceptional_flag:
         raise ExceptionalSpectrumError(
             "completeness identity is invalid at an exceptional point"
         )
-    dim = spectrum.triples[0].right.size
-    acc = np.zeros((dim, dim), dtype=complex)
-    for t in spectrum.triples:
-        acc += np.outer(t.right, t.left.conj()) / np.vdot(t.left, t.right)
-    return float(np.max(np.abs(acc - np.eye(dim))))
+    rights = np.column_stack([t.right for t in spectrum.triples])
+    lefts = np.column_stack([t.left for t in spectrum.triples])
+    acc = (rights / (lefts.conj() * rights).sum(axis=0)) @ lefts.conj().T
+    return float(np.max(np.abs(acc - np.eye(rights.shape[0]))))

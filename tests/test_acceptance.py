@@ -28,7 +28,7 @@ def _report(num, checks):
 
 
 def _bright_member(decomp, psi_d, level):
-    vecs = decomp.levels[level].eigenvectors
+    vecs = decomp.members(level)
     v = vecs @ (vecs.conj().T @ psi_d)
     return v / np.linalg.norm(v)
 
@@ -105,7 +105,7 @@ def test_criterion_03_chain_persistent_oscillation(chain):
     gap = abs(mods[0] - mods[1])
     S = _machinery(model, decomp, psi_d, tau)
     traj = ns.evolve(S, ns.site_state(model, "2"), 310, model.hamiltonian)
-    e = np.array([r.mean_energy for r in traj.records])
+    e = traj.mean_energy
     early = e[90:111].max() - e[90:111].min()
     late = e[290:311].max() - e[290:311].min()
     _report(3, [
@@ -137,8 +137,8 @@ def test_criterion_04_v_atom_shelving(v_atom):
     S = _machinery(model, decomp, psi_d, tau)
     psi_g = ns.site_state(model, "G")
     traj = ns.evolve(S, psi_g, 200, model.hamiltonian)
-    e200 = traj.records[200].mean_energy
-    p_d = abs(np.vdot(ns.site_state(model, "D"), traj.records[200].state)) ** 2
+    e200 = traj.mean_energy[200]
+    p_d = abs(np.vdot(ns.site_state(model, "D"), traj.states()[200])) ** 2
     crossover = helpers.regime_of(model, psi_d, tau, psi_g).crossover_step
     _report(4, [
         (rel < 1e-3, f"charge rel dev {rel:.2e} < 1e-3"),
@@ -152,8 +152,8 @@ def test_criterion_04_v_atom_shelving(v_atom):
 
 def test_criterion_05_tree_structure_and_dominant_roots(tree):
     model, decomp, psi_d = tree
-    degens = tuple(lv.degeneracy for lv in decomp.levels)
-    level_energies = np.repeat([lv.energy for lv in decomp.levels], degens)
+    degens = tuple(decomp.degeneracies.tolist())
+    level_energies = decomp.column_energies
     ref = helpers.glued_tree_reference_energies(3)
     table_dev = float(np.max(np.abs(np.sort(level_energies) - np.sort(ref))))
     darks = ns.dark_states(decomp, psi_d, 1.2)
@@ -198,7 +198,7 @@ def test_criterion_06_tree_selection_rule(tree):
 
     def final_energy(v):
         traj = ns.evolve(S, v, 400, model.hamiltonian)
-        return traj.records[400].mean_energy
+        return traj.mean_energy[400]
 
     e_two = final_energy((dark_2 + bright_10) / math.sqrt(2.0))
     e_three = final_energy((dark_2 + bright_10 + dark_5) / math.sqrt(3.0))
@@ -227,7 +227,7 @@ def test_criterion_07_tree_triple_charge_oscillation(tree):
     for tau in (2.3, 2.35):
         S = _machinery(model, decomp, psi_d, tau)
         traj = ns.evolve(S, ground, 300, model.hamiltonian)
-        e = np.array([r.mean_energy for r in traj.records])[44:300]
+        e = traj.mean_energy[44:300]
         f = np.abs(np.fft.rfft(e - e.mean()))
         bins[tau] = int(np.argmax(f[1:]) + 1)
     _report(7, [
@@ -307,12 +307,12 @@ def test_criterion_11_spectral_iterative_equivalence(two_level, chain, v_atom,
         S = _machinery(model, decomp, psi_d, tau)
         spectrum = ns.full_spectrum(model, psi_d, tau)
         traj = ns.evolve(S, psi_in, 200, model.hamiltonian)
+        states = traj.states()
         for n in (1, 3, 10, 40, 200):
             state, energy = ns.evolve_spectral(spectrum, psi_in, n, model.hamiltonian)
-            rec = traj.records[n]
             worst_overlap = max(worst_overlap,
-                                abs(abs(np.vdot(state, rec.state)) - 1.0))
-            worst_energy = max(worst_energy, abs(energy - rec.mean_energy))
+                                abs(abs(np.vdot(state, states[n])) - 1.0))
+            worst_energy = max(worst_energy, abs(energy - traj.mean_energy[n]))
     _report(11, [
         (worst_overlap < 1e-8, f"worst overlap dev {worst_overlap:.2e} < 1e-8"),
         (worst_energy < 1e-8, f"worst energy dev {worst_energy:.2e} < 1e-8"),
@@ -365,8 +365,7 @@ def test_criterion_14_dark_state_immunity(tree):
     worst = 0.0
     for triple in darks:
         traj = ns.evolve(S, triple.right, 100, model.hamiltonian)
-        worst = max(worst, max(abs(r.survival_amplitude - 1.0)
-                               for r in traj.records))
+        worst = max(worst, np.max(np.abs(traj.survival_amplitude - 1.0)))
     _report(14, [
         (len(darks) == 15, f"{len(darks)} dark states"),
         (worst < 1e-10,

@@ -132,7 +132,7 @@ def test_resolve_energy_state_plain(chain):
     model, decomp, psi_d = chain
     # without a detector the stored eigenvector comes back unchanged
     bare = resolve_state({"energy_state": [1, 0]}, model, decomp)
-    assert np.allclose(bare, decomp.levels[1].eigenvectors[:, 0])
+    assert np.allclose(bare, decomp.members(1)[:, 0])
     # with a detector, member 0 is the bright projection (same ray here)
     aligned = resolve_state({"energy_state": 1}, model, decomp, psi_d)
     assert abs(abs(np.vdot(aligned, bare)) - 1.0) < 1e-12
@@ -154,7 +154,7 @@ def test_resolve_energy_state_detector_aligned(tree):
         resolve_state({"energy_state": [2, 3]}, model, decomp, psi_d)
     # zero-charge levels fall back to their stored eigenvectors
     inactive = resolve_state({"energy_state": [1, 0]}, model, decomp, psi_d)
-    assert np.allclose(inactive, decomp.levels[1].eigenvectors[:, 0])
+    assert np.allclose(inactive, decomp.members(1)[:, 0])
 
 
 def test_resolve_combination_complex_weights(chain):
@@ -595,7 +595,7 @@ def test_energy_state_reads_the_configured_threshold(tmp_path, monkeypatch):
         return _Runtime(parse_config(json.dumps(dict(payload, tolerances=tolerances))))
 
     bright, dark = runtime(), runtime(zero_threshold=1e-6)
-    stored = dark.decomp.levels[2].eigenvectors[:, 0]
+    stored = dark.decomp.members(2)[:, 0]
     np.testing.assert_allclose(bright.initial_state, -stored, atol=1e-12)
     np.testing.assert_allclose(dark.initial_state, stored, atol=1e-12)
     assert bright.spectrum(2.0).by_kind("circle") == []

@@ -131,10 +131,10 @@ def test_evolve_records_site_states_for_operator(tree):
     states = eig.states()
     with pytest.raises(ns.InvalidParameterError):
         ns.evolve(s_dense, psi, 3)  # a dense operator needs H for the energy
-    for n, (a, b) in enumerate(zip(eig.records, dense.records)):
-        np.testing.assert_allclose(a.state, b.state, atol=1e-12)
-        np.testing.assert_allclose(states[n], b.state, atol=1e-12)
-        assert abs(a.mean_energy - b.mean_energy) < 1e-12
+    for n, want in enumerate(dense.states()):
+        np.testing.assert_allclose(eig.basis @ eig.coords[n], want, atol=1e-12)
+        np.testing.assert_allclose(states[n], want, atol=1e-12)
+        assert abs(eig.mean_energy[n] - dense.mean_energy[n]) < 1e-12
 
 
 def _exact_mean_energies(h, psi_d, psi, tau, n_steps, digits=40):
@@ -187,18 +187,18 @@ def test_cli_evolve_matches_dense_evolve(tmp_path):
     exact = _exact_mean_energies(model.hamiltonian.real, psi_d.real, psi.real, tau, n)
 
     assert len(rows) == n + 1
-    for row, rec, energy in zip(rows, dense.records, exact):
+    for n, (row, energy) in enumerate(zip(rows, exact)):
         # each path's mean energy against the 40-digit reference
-        for got in (float(row[1]), rec.mean_energy):
+        for got in (float(row[1]), dense.mean_energy[n]):
             assert abs(got - energy) <= 1e-12 * max(1.0, abs(energy))
-        for got, want in ((row[2], rec.survival_amplitude),
-                          (row[3], rec.cumulative_no_detection_probability)):
+        for got, want in ((row[2], dense.survival_amplitude[n]),
+                          (row[3], dense.cumulative_no_detection_probability[n])):
             assert abs(float(got) - want) <= 1e-12 * max(1.0, abs(want))
         # the phase column is defined modulo 2 pi
-        assert abs(math.remainder(float(row[4]) - rec.phase, 2.0 * math.pi)) < 1e-9
+        assert abs(math.remainder(float(row[4]) - dense.phase[n], 2.0 * math.pi)) < 1e-9
         state = np.array([float(v) for v in row[5::2]]) + 1j * np.array(
             [float(v) for v in row[6::2]])
-        assert np.max(np.abs(state - rec.state)) < 1e-10
+        assert np.max(np.abs(state - dense.states()[n])) < 1e-10
 
 
 def test_sweep_decomposes_once(tmp_path, monkeypatch):

@@ -45,14 +45,13 @@ def test_evolve_records(chain):
     s, h = _machinery(model, decomp, psi_d, 2.0)
     psi_in = ns.site_state(model, "2")
     traj = ns.evolve(s, psi_in, 5, h)
-    assert traj.n_steps == 5 and len(traj.records) == 6
-    first = traj.records[0]
-    assert first.survival_amplitude == 1.0 and first.phase == 0.0
+    assert traj.n_steps == 5 and len(traj.mean_energy) == 6
+    assert traj.survival_amplitude[0] == 1.0 and traj.phase[0] == 0.0
     # cumulative probability equals the squared norm of S^n psi
     raw = np.linalg.matrix_power(s.matrix, 5) @ psi_in
-    assert abs(traj.records[5].cumulative_no_detection_probability
+    assert abs(traj.cumulative_no_detection_probability[5]
                - np.linalg.norm(raw) ** 2) < 1e-12
-    amps = traj.amplitudes()
+    amps = traj.survival_amplitude
     assert np.all(amps[1:] <= 1.0 + 1e-12)
 
 
@@ -72,7 +71,7 @@ def test_phase_accumulates_eigenvalue_argument(chain):
     s, h = _machinery(model, decomp, psi_d, 2.0)
     traj = ns.evolve(s, dom.right, 10, h)
     want = 10 * float(np.angle(dom.xi))
-    assert abs(traj.records[10].phase - want) < 1e-9
+    assert abs(traj.phase[10] - want) < 1e-9
 
 
 def test_evolve_spectral_agreement(chain):
@@ -81,13 +80,13 @@ def test_evolve_spectral_agreement(chain):
     s, h = _machinery(model, decomp, psi_d, 2.0)
     psi_in = ns.site_state(model, "2")
     traj = ns.evolve(s, psi_in, 60, h)
+    states = traj.states()
     for n in (1, 5, 60):
         state, energy = ns.evolve_spectral(spectrum, psi_in, n, h)
-        rec = traj.records[n]
-        assert abs(1.0 - abs(np.vdot(state, rec.state))) < 1e-10
-        assert abs(energy - rec.mean_energy) < 1e-10
+        assert abs(1.0 - abs(np.vdot(state, states[n]))) < 1e-10
+        assert abs(energy - traj.mean_energy[n]) < 1e-10
     state0, energy0 = ns.evolve_spectral(spectrum, psi_in, 0, h)
-    assert abs(energy0 - traj.records[0].mean_energy) < 1e-12
+    assert abs(energy0 - traj.mean_energy[0]) < 1e-12
 
 
 def test_evolve_spectral_refuses_exceptional():
@@ -103,7 +102,7 @@ def test_dark_initial_state_is_immune(tree):
     dark = ns.dark_states(decomp, psi_d, 1.1)[0]
     s, h = _machinery(model, decomp, psi_d, 1.1)
     traj = ns.evolve(s, dark.right, 50, h)
-    assert np.max(np.abs(traj.amplitudes()[1:] - 1.0)) < 1e-12
+    assert np.max(np.abs(traj.survival_amplitude[1:] - 1.0)) < 1e-12
     assert ns.energy_conservation_check(traj, 1e-9)
 
 
@@ -157,7 +156,7 @@ def test_classify_oscillatory_and_descriptor(chain):
     for n in (100, 200, 300):
         model_state = desc.state_at(n)
         energy = float(np.real(np.vdot(model_state, h @ model_state)))
-        assert abs(energy - traj.records[n].mean_energy) < 1e-3
+        assert abs(energy - traj.mean_energy[n]) < 1e-3
 
 
 def test_oscillation_descriptor_needs_pair(chain):
@@ -193,7 +192,7 @@ def test_crossover_chain(chain):
 
 def test_crossover_tree_ground(tree):
     model, decomp, psi_d = tree
-    ground = decomp.levels[0].eigenvectors[:, 0]
+    ground = decomp.members(0)[:, 0]
     n_bright = regime_of(decomp, psi_d, 1.2, ground).crossover_step
     assert n_bright == 23
     # with dark weight the reference amplitude never decays, so the wait is longer
@@ -204,7 +203,7 @@ def test_crossover_tree_ground(tree):
 def test_crossover_of_every_regime_kind(tree, chain):
     """One classification gives the kind and its crossover step together."""
     model, decomp, psi_d = tree
-    ground = decomp.levels[0].eigenvectors[:, 0]
+    ground = decomp.members(0)[:, 0]
     cases = [
         (model, psi_d, ground, 1.2, "FixedPoint", 23),
         (model, psi_d, ground, 1.25, "Oscillatory", 13),
@@ -388,8 +387,8 @@ def test_random_models_spectral_equals_iterative(seed):
     decomp = ns.spectral_decompose(model)
     s, h = _machinery(model, decomp, psi_d, tau)
     traj = ns.evolve(s, psi_in, 30, h)
+    states = traj.states()
     for n in (1, 10, 30):
         state, energy = ns.evolve_spectral(spectrum, psi_in, n, h)
-        rec = traj.records[n]
-        assert abs(1.0 - abs(np.vdot(state, rec.state))) < 1e-8
-        assert abs(energy - rec.mean_energy) < 1e-8
+        assert abs(1.0 - abs(np.vdot(state, states[n]))) < 1e-8
+        assert abs(energy - traj.mean_energy[n]) < 1e-8

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import nullsteer as ns
 from nullsteer import InvalidMatrixError, InvalidParameterError
+from nullsteer.configio import build_model
 
 from helpers import glued_tree_reference_energies, random_unitary
 
@@ -66,15 +68,13 @@ def test_glued_tree_structure():
 def test_glued_tree_analytic_spectrum(d):
     """Level energies and degeneracies match the closed-form mode families."""
     decomp = ns.spectral_decompose(ns.build_glued_tree(d))
-    got = np.sort(
-        np.concatenate([[lv.energy] * lv.degeneracy for lv in decomp.levels])
-    )
+    got = np.sort(decomp.column_energies)
     np.testing.assert_allclose(got, glued_tree_reference_energies(d), atol=1e-9)
 
 
 def test_glued_tree_level_table(tree):
     _, decomp, _ = tree
-    assert tuple(lv.degeneracy for lv in decomp.levels) == (1, 1, 3, 1, 1, 8, 1, 1, 3, 1, 1)
+    assert tuple(decomp.degeneracies) == (1, 1, 3, 1, 1, 8, 1, 1, 3, 1, 1)
     assert decomp.w == 11
     np.testing.assert_allclose(decomp.energies, -decomp.energies[::-1], atol=1e-12)
 
@@ -113,7 +113,7 @@ def test_spectral_grouping_default_and_override():
     model = ns.build_custom(np.diag([0.0, 5e-9, 1.0]))
     grouped = ns.spectral_decompose(model)
     assert grouped.w == 2
-    assert grouped.levels[0].degeneracy == 2
+    assert grouped.degeneracies[0] == 2
     split = ns.spectral_decompose(model, grouping_tol=1e-12)
     assert split.w == 3
 
@@ -124,7 +124,7 @@ def test_spectral_grouping_is_transitive():
     model = ns.build_custom(np.diag([0.0, 0.9e-8, 1.8e-8, 1.0]))
     decomp = ns.spectral_decompose(model)
     assert decomp.w == 2
-    assert decomp.levels[0].degeneracy == 3
+    assert decomp.degeneracies[0] == 3
 
 
 def test_projectors_orthonormal_and_complete(tree):
@@ -145,25 +145,34 @@ def _random_real_symmetric(seed, dim):
     return a + a.T
 
 
+def _custom_config_model(matrix_re, matrix_im):
+    """A `custom` model built from its JSON config."""
+    spec = {"type": "custom", "matrix_re": matrix_re.tolist(), "matrix_im": matrix_im.tolist()}
+    return build_model(ns.parse_config(json.dumps(
+        {"model": spec, "detection": {"site": "0"}, "tau": 1.0, "experiment": "spectrum"})))
+
+
 @pytest.mark.parametrize("model", [
     ns.build_glued_tree(6),
     ns.build_custom(_random_real_symmetric(7, 40)),
-], ids=["glued_tree_d6", "random_real_symmetric"])
+    _custom_config_model(_random_real_symmetric(8, 12), np.zeros((12, 12))),
+], ids=["glued_tree_d6", "random_real_symmetric", "custom_config_zero_matrix_im"])
 def test_real_hamiltonian_gives_one_real_v(model):
+    assert model.hamiltonian.dtype == np.float64
     decomp = ns.spectral_decompose(model)
     v = decomp.vectors
     assert v.dtype == np.float64
-    assert all(np.shares_memory(lv.eigenvectors, v) for lv in decomp.levels)
+    assert all(np.shares_memory(decomp.members(k), v) for k in range(decomp.w))
     assert np.max(np.abs(v.T @ v - np.eye(model.dim))) < 1e-13
     # oracle: the complex Hermitian solver, grouped like the decomposition
     evals, vecs = np.linalg.eigh(model.hamiltonian.astype(complex))
     start = 0
-    for k, lv in enumerate(decomp.levels):
-        cols = slice(start, start + lv.degeneracy)
-        assert abs(lv.energy - np.mean(evals[cols])) < 1e-12
+    for k, (energy, degeneracy) in enumerate(zip(decomp.energies, decomp.degeneracies)):
+        cols = slice(start, start + degeneracy)
+        assert abs(energy - np.mean(evals[cols])) < 1e-12
         p_oracle = vecs[:, cols] @ vecs[:, cols].conj().T
         assert np.max(np.abs(decomp.projector(k) - p_oracle)) < 1e-12
-        start += lv.degeneracy
+        start += degeneracy
     assert start == model.dim
 
 
@@ -171,10 +180,11 @@ def test_complex_hamiltonian_keeps_complex_v():
     rng = np.random.default_rng(11)
     a = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
     model = ns.build_custom(a + a.conj().T)
+    assert model.hamiltonian.dtype == np.complex128
     decomp = ns.spectral_decompose(model)
     v = decomp.vectors
     assert v.dtype == np.complex128
-    assert all(np.shares_memory(lv.eigenvectors, v) for lv in decomp.levels)
+    assert all(np.shares_memory(decomp.members(k), v) for k in range(decomp.w))
     assert np.max(np.abs(v.conj().T @ v - np.eye(model.dim))) < 1e-13
     np.testing.assert_allclose(decomp.hamiltonian(), model.hamiltonian, atol=1e-12)
 
@@ -184,9 +194,9 @@ def test_propagator_unitary_and_diagonal(chain):
     tau = 1.7
     u = ns.propagator(decomp, tau)
     np.testing.assert_allclose(u.conj().T @ u, np.eye(model.dim), atol=1e-12)
-    for lv in decomp.levels:
-        v = lv.eigenvectors[:, 0]
-        np.testing.assert_allclose(u @ v, np.exp(-1j * lv.energy * tau) * v, atol=1e-12)
+    for k, energy in enumerate(decomp.energies):
+        v = decomp.members(k)[:, 0]
+        np.testing.assert_allclose(u @ v, np.exp(-1j * energy * tau) * v, atol=1e-12)
 
 
 def test_site_state(chain):
@@ -212,5 +222,5 @@ def test_random_decomposition_reconstructs(seed, dim):
     h = (q * energies) @ q.conj().T
     model = ns.build_custom(h)
     decomp = ns.spectral_decompose(model)
-    assert sum(lv.degeneracy for lv in decomp.levels) == dim
+    assert sum(decomp.degeneracies) == dim
     np.testing.assert_allclose(decomp.hamiltonian(), model.hamiltonian, atol=1e-10)

@@ -265,7 +265,7 @@ def test_random_unitary_survival_row(seed, tau):
 
 def _weak_chain_detector(decomp, eps):
     """Normalized E_0 + E_1 + eps E_2 of the three-level chain."""
-    v = sum(w * decomp.levels[k].eigenvectors[:, 0] for k, w in enumerate((1.0, 1.0, eps)))
+    v = sum(w * decomp.members(k)[:, 0] for k, w in enumerate((1.0, 1.0, eps)))
     return v / np.linalg.norm(v)
 
 
@@ -331,3 +331,16 @@ def test_alias_groups_match_pairwise_closure():
         p = rng.uniform(0.0, 1.0, size=12) * (rng.uniform(size=12) > 0.2)
         config = ns.config_from_levels(e, p / p.sum(), 1.0)
         assert _alias_groups(config.phases, config.active) == _closure_groups(config)
+
+
+def test_split_of_another_decomposition_keeps_its_threshold():
+    # Level 1 of this V-atom has p = 2.04e-12: dark under a 1e-9 split.  A
+    # split handed to code that decomposes anew must keep that threshold.
+    model = ns.build_v_atom(0.0, 3.0, 5.0, 1e-5, 1.0)
+    decomp = ns.spectral_decompose(model)
+    split = ns.DetectorSplit(decomp, ns.site_state(model, "B"), 1e-9)
+    assert ns.full_spectrum(decomp, split, 0.5).counts == (1, 1, 1)
+    assert ns.full_spectrum(model, split, 0.5).counts == (1, 1, 1)
+    config = ns.charges(ns.spectral_decompose(model), split, 0.5)
+    assert config.active.tolist() == [0, 2]
+    assert config.zero_threshold == 1e-9
