@@ -59,10 +59,8 @@ from .charges import (
 )
 from .survival import (
     EigenSurvivalOperator,
-    EigenTriple,
     SurvivalOperator,
     SurvivalSpectrum,
-    bright_states,
     build_survival,
     completeness_check,
     dark_states,

@@ -156,12 +156,14 @@ def dark_combination_coeffs(alphas):
 
 def _dark_combinations(vectors, alphas):
     """Unit, phase-fixed ``dark_combination_coeffs(alphas)`` combinations of
-    the orthonormal columns of ``vectors``, whose detector overlaps are ``alphas``."""
+    the orthonormal columns of ``vectors``, whose detector overlaps are
+    ``alphas``, as the columns of one array, real when they all are."""
     out = []
     for row in dark_combination_coeffs(alphas):
         v = _phase_fix(vectors @ row)
         out.append(v / np.linalg.norm(v))
-    return out
+    out = np.array(out, dtype=complex).reshape(-1, vectors.shape[0]).T
+    return out if out.imag.any() else out.real
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -169,7 +171,7 @@ class DetectorSplit:
     """The tau-independent part of one detector in one decomposition.
 
     ``c`` = V^dag psi_d, the level charges ``p`` and the dark vectors
-    ``darks`` do not depend on tau, so a tau sweep builds them once.
+    ``dark_vectors`` do not depend on tau, so a tau sweep builds them once.
     ``bright_levels`` is the bright/dark decision for every level, made
     here once from ``zero_threshold``: the charges, the bright states, the
     dark vectors, the charge groups and ``energy_state`` members all read it.
@@ -210,15 +212,23 @@ class DetectorSplit:
         return (self.decomp.members(k) @ self.overlaps(k)) / math.sqrt(self.p[k])
 
     @functools.cached_property
-    def darks(self):
-        """(level index, read-only unit vector) for each per-level dark state.
+    def dark_levels(self):
+        """The level of each column of ``dark_vectors``: g_k entries for a
+        dark level of degeneracy g_k, g_k - 1 for a bright one."""
+        bright = np.isin(np.arange(self.decomp.w), self.bright_levels)
+        return np.repeat(np.arange(self.decomp.w), self.decomp.degeneracies - bright)
+
+    @functools.cached_property
+    def dark_vectors(self):
+        """Read-only (dim, n_dark) array of the per-level dark states, level
+        by level; it is real when they all are (a real H and detector).
 
         A dark level gives each of its members as it stands.  A bright
         level of degeneracy g gives g - 1: its members are sorted by
         descending overlap magnitude (ties by index); the first one seeds
         the Gram-Schmidt recursion, which also takes every member whose
         overlap is at least ORTHOGONALITY_TOL, and the others are given as
-        they stand.
+        they stand, before the combinations.
         """
         bright = set(self.bright_levels.tolist())
         out = []
@@ -227,13 +237,12 @@ class DetectorSplit:
             if k in bright:
                 order = sorted(range(a.size), key=lambda l: (-abs(a[l]), l))
                 seeds = order[:1] + [l for l in order[1:] if abs(a[l]) >= ORTHOGONALITY_TOL]
-            rest = [l for l in range(a.size) if l not in seeds]
-            out += [(k, v) for v in _phase_fix(members[:, rest]).T.copy()]
+            out.append(_phase_fix(members[:, [l for l in range(a.size) if l not in seeds]]))
             if seeds:
-                out += [(k, v) for v in _dark_combinations(members[:, seeds], a[seeds])]
-        for _, v in out:
-            v.setflags(write=False)
-        return tuple(out)
+                out.append(_dark_combinations(members[:, seeds], a[seeds]))
+        vectors = np.column_stack(out)
+        vectors.setflags(write=False)
+        return vectors
 
     def weigh(self, psi):
         """The StartWeights of a start state, from its coordinates x = V^dag psi.

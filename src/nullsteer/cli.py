@@ -31,6 +31,7 @@ from .charges import (
 )
 from .configio import (
     build_model,
+    check_tolerance,
     load_config,
     parse_config,
     resolve_detection,
@@ -66,10 +67,10 @@ class _Runtime:
 
     def __init__(self, config, tie_tol=None, grouping_tol=None):
         tols = dict(config.tolerances)
-        if tie_tol is not None:
-            tols["tie_tol"] = tie_tol
-        if grouping_tol is not None:
-            tols["grouping_tol"] = grouping_tol
+        for key, value in (("tie_tol", tie_tol), ("grouping_tol", grouping_tol)):
+            if value is not None:
+                check_tolerance(key, value)
+                tols[key] = value
         self.config = config
         self.grouping_tol = tols.get("grouping_tol")
         self.tie_tol = tols.get("tie_tol", DEFAULT_TIE_TOL)
@@ -115,18 +116,10 @@ class _Runtime:
 
 def _run_spectrum(rt, out_dir):
     spectrum = rt.spectrum(rt.config.tau_values[0])
-    rows = []
-    for t in spectrum.triples:
-        rows.append(
-            (
-                t.kind,
-                float(t.xi.real),
-                float(t.xi.imag),
-                float(abs(t.xi)),
-                -1 if t.source_level is None else int(t.source_level),
-                float(abs(np.vdot(t.left, t.right))),
-            )
-        )
+    columns = (spectrum.kinds.tolist(), spectrum.xis.tolist(),
+               spectrum.source_levels.tolist(), spectrum.overlaps)
+    rows = [(kind, xi.real, xi.imag, abs(xi), level, float(abs(overlap)))
+            for kind, xi, level, overlap in zip(*columns)]
     path = os.path.join(out_dir, "spectrum.csv")
     write_csv(
         path,

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 
 import numpy as np
 
@@ -83,16 +84,24 @@ def _fail(locator, key, message):
 
 
 def _is_number(value, kind=(int, float)):
-    """A JSON number (an integer for kind=int); booleans, Python ints, are not."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+    """A JSON number a float can hold (an integer for kind=int); booleans,
+    Python ints, are not, nor are NaN and the infinities."""
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _numbers(value, key):
-    """A list (of lists) of JSON numbers as a float array."""
+    """A list (of lists) of finite JSON numbers as a float array."""
     if not isinstance(value, list) or not all(
             map(_is_number, np.asarray(value, dtype=object).ravel())):
-        raise ConfigError(f"{key} must be a list of numbers")
+        raise ConfigError(f"{key} must be a list of finite numbers")
     return np.asarray(value, dtype=float)
+
+
+def check_tolerance(key, value, locator=None):
+    """The rule for every configured tolerance: a positive finite number."""
+    if not _is_number(value) or value <= 0:
+        _fail(locator, key, f"tolerance {key} must be a positive finite number")
 
 
 def _require_keys(obj, required, optional, where, locator):
@@ -226,8 +235,7 @@ def parse_config(text, source_path=None):
         "tolerances", locator,
     )
     for key, value in tolerances.items():
-        if not _is_number(value) or value <= 0:
-            _fail(locator, key, f"tolerance {key} must be a positive number")
+        check_tolerance(key, value, locator)
 
     perturb = raw.get("perturb")
     if experiment == "perturb":
@@ -339,14 +347,15 @@ def aligned_member(decomp, psi_d, level_index, member_index):
     if psi_d is not None:
         split = _as_split(decomp, psi_d)
         if level_index in split.bright_levels:
-            darks = [v for k, v in split.darks if k == level_index]
-            basis = [split.bright(level_index)] + darks
-            if not 0 <= member_index < len(basis):
+            darks = split.dark_vectors[:, split.dark_levels == level_index]
+            if not 0 <= member_index <= darks.shape[1]:
                 raise ConfigError(
                     f"energy_state member {member_index} out of range for level "
-                    f"{level_index} (bright + {len(darks)} dark members)"
+                    f"{level_index} (bright + {darks.shape[1]} dark members)"
                 )
-            return basis[member_index].copy()
+            if member_index:
+                return darks[:, member_index - 1].copy()
+            return split.bright(level_index)
     members = decomp.members(level_index)
     if not 0 <= member_index < members.shape[1]:
         raise ConfigError(

@@ -154,24 +154,13 @@ def evolve(S, psi_in, n_steps, H=None):
     return Trajectory(coords, amps, probs, energies, phases, basis)
 
 
-def _spectral_terms(spectrum, psi):
-    """(xi, coefficient, right) for every non-zero-class triple."""
-    terms = []
-    for t in spectrum.triples:
-        if t.kind == "zero":
-            continue
-        denom = np.vdot(t.left, t.right)
-        coeff = np.vdot(t.left, psi) / denom
-        terms.append((t.xi, coeff, t.right))
-    return terms
-
-
 def evolve_spectral(spectrum, psi_in, n, H):
     """State and mean energy after n steps from the eigensystem sum.
 
-    Powers xi^n are evaluated with a shared log-modulus shift so that
-    deep-disk components underflow gracefully instead of zeroing the
-    whole sum.
+    The coefficients <L_j|psi> / <L_j|R_j> of the disk and circle columns
+    come in one product.  Powers xi^n are evaluated with a shared
+    log-modulus shift so that deep-disk components underflow gracefully
+    instead of zeroing the whole sum.
     """
     if spectrum.exceptional_flag:
         raise ExceptionalSpectrumError("spectral evolution needs a diagonalizable S")
@@ -181,21 +170,18 @@ def evolve_spectral(spectrum, psi_in, n, H):
     if n == 0:
         return psi, float(np.real(np.vdot(psi, h @ psi)))
 
-    terms = _spectral_terms(spectrum, psi)
-    logmods = [
-        n * math.log(abs(xi)) if abs(xi) > 0 else -math.inf
-        for xi, coeff, _ in terms
-    ]
-    active = [lm for lm, (_, c, _) in zip(logmods, terms) if abs(c) > 0]
-    if not active:
+    cols = slice(spectrum.counts[0], None)
+    xis = spectrum.xis[cols]
+    coeffs = (spectrum.lefts[:, cols].conj().T @ psi) / spectrum.overlaps[cols]
+    logmods = n * np.log(np.abs(xis))
+    active = logmods[np.abs(coeffs) > 0]
+    if not active.size:
         raise CertainDetectionError(step=1)
-    shift = max(active)
-    out = np.zeros(psi.size, dtype=complex)
-    for lm, (xi, coeff, right) in zip(logmods, terms):
-        if lm == -math.inf:
-            continue
-        mag = math.exp(lm - shift) if lm - shift > -745.0 else 0.0
-        out += coeff * mag * np.exp(1j * n * np.angle(xi)) * right
+    # Every active column lies at or below the shift, and exp underflows to
+    # 0 far below it; the clamp only keeps columns of coefficient 0 finite.
+    mags = np.exp(np.minimum(logmods - active.max(), 0.0))
+    weights = coeffs * mags * np.exp(1j * n * np.angle(xis))
+    out = spectrum.rights[:, cols] @ weights
     norm = np.linalg.norm(out)
     if norm < CERTAIN_DETECTION_TOL:
         raise CertainDetectionError(step=1)
@@ -288,31 +274,33 @@ def oscillation_descriptor(regime, spectrum, psi_in):
     """Closed-form large-n family for a dominant eigenvalue pair.
 
     ``spectrum`` is the ``full_spectrum`` at the regime's tau: its disk
-    triples give the pair's eigenvectors.
+    columns give the pair's eigenvectors.
     """
     if regime.kind != OSCILLATORY or len(regime.dominant) != 2:
         raise UnsupportedMultiplicityError(
             f"oscillation descriptor needs exactly 2 dominant eigenvalues, "
             f"got {len(regime.dominant)} ({regime.kind})"
         )
-    disk = {t.xi: t for t in spectrum.by_kind("disk")}
+    n_zero, n_disk, _ = spectrum.counts
+    disk = spectrum.xis[n_zero : n_zero + n_disk].tolist()
     if not all(xi in disk for xi in regime.dominant):
         raise InvalidParameterError("the spectrum does not hold the regime's dominant roots")
     psi = as_vector(psi_in)
     psi = psi / np.linalg.norm(psi)
-    t1, t2 = (disk[xi] for xi in regime.dominant)
-    a1 = np.vdot(t1.left, psi) / np.vdot(t1.left, t1.right)
-    a2 = np.vdot(t2.left, psi) / np.vdot(t2.left, t2.right)
+    cols = [n_zero + disk.index(xi) for xi in regime.dominant]
+    xi1, xi2 = spectrum.xis[cols]
+    r1, r2 = spectrum.rights[:, cols].T
+    a1, a2 = (spectrum.lefts[:, cols].conj().T @ psi) / spectrum.overlaps[cols]
 
     def state_at(n):
-        v = a1 * (t1.xi ** n) * t1.right + a2 * (t2.xi ** n) * t2.right
+        v = a1 * (xi1 ** n) * r1 + a2 * (xi2 ** n) * r2
         return v / np.linalg.norm(v)
 
     return OscillationDescriptor(
         complex(a1),
         complex(a2),
         tuple(regime.oscillation["energies"]),
-        0.5 * float(np.angle(t1.xi) + np.angle(t2.xi)),
+        0.5 * float(np.angle(xi1) + np.angle(xi2)),
         regime.oscillation["relative_phase"],
         state_at,
     )

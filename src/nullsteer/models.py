@@ -103,12 +103,17 @@ class SpectralDecomposition:
         return self.vectors[:, self.starts[k] : self.starts[k + 1]]
 
     def coords(self, v):
-        """Eigen-coordinates V^dag v of a site-basis state."""
-        return (as_vector(v).conj() @ self.vectors).conj()
+        """Eigen-coordinates V^dag v of a site-basis state.
 
-    def mean_energy(self, v):
-        """<v|H|v> as sum_j e_j |(V^dag v)_j|^2."""
-        return float(self.column_energies @ (np.abs(self.coords(v)) ** 2))
+        A real V takes two real products, V^T Re v and V^T Im v, so it is
+        never copied to complex.
+        """
+        v = as_vector(v)
+        if np.iscomplexobj(self.vectors):
+            return (v.conj() @ self.vectors).conj()
+        x = np.empty(self.dim, dtype=complex)
+        x.real, x.imag = self.vectors.T @ v.real, self.vectors.T @ v.imag
+        return x
 
     def projector(self, k):
         v = self.members(k)
@@ -256,12 +261,15 @@ def build_exceptional_three_level(gamma):
 def build_custom(matrix, labels=None):
     """Wrap an arbitrary Hermitian matrix as a model.
 
-    Rejects inputs with max |H - H^dag| entry above 1e-10; accepted inputs
-    are stored exactly symmetrized so the model invariant holds.
+    Rejects non-finite entries and inputs with max |H - H^dag| entry above
+    1e-10; accepted inputs are stored exactly symmetrized so the model
+    invariant holds.
     """
     h = np.asarray(matrix, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise InvalidMatrixError("matrix must be square")
+    if not np.isfinite(h).all():
+        raise InvalidMatrixError("matrix entries must be finite")
     dev = float(np.max(np.abs(h - h.conj().T))) if h.size else 0.0
     if dev > HERMITICITY_TOL:
         raise InvalidMatrixError(

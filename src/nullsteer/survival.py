@@ -38,11 +38,6 @@ from .errors import (
 )
 from .models import SpectralDecomposition, _phase_fix, as_vector, spectral_decompose
 
-KIND_ZERO = "zero"
-KIND_DISK = "disk"
-KIND_CIRCLE = "circle"
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class SurvivalOperator:
     """Matrix of one conditional step."""
@@ -89,32 +84,22 @@ class EigenSurvivalOperator:
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class EigenTriple:
-    """One eigenvalue of S with unit-norm right and left eigenvectors.
-
-    ``kind`` is "zero", "disk", or "circle".  ``source_level`` is the level
-    index for per-level circle states (None for cross-level aliased
-    combinations and for disk/zero states).  ``energy`` is <right|H|right>
-    for circle states (the level energy when single-level).
-    """
-
-    xi: complex
-    right: np.ndarray
-    left: np.ndarray
-    kind: str
-    source_level: int = None
-    energy: float = None
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
 class SurvivalSpectrum:
-    """Complete classified eigensystem of one survival operator.
+    """Complete classified eigensystem of one survival operator, as arrays.
 
+    Column j of ``rights`` and ``lefts`` holds the unit right and left
+    eigenvectors of ``xis[j]``.  The columns run zero, disk, circle, with
+    ``counts`` columns of each kind (``kinds`` names them), and
+    ``source_levels[j]`` is the level of a per-level circle state, -1
+    for every other column (cross-level combinations included).
     ``stationary.groups`` are the charged levels grouped by shared phase;
     their number is w_eff, the count of distinct charges.
     """
 
-    triples: tuple
+    xis: np.ndarray
+    rights: np.ndarray
+    lefts: np.ndarray
+    source_levels: np.ndarray
     counts: tuple
     exceptional_flag: bool
     min_biorthogonal_overlap: float
@@ -122,8 +107,20 @@ class SurvivalSpectrum:
     charge_config: object
     stationary: object
 
-    def by_kind(self, kind):
-        return [t for t in self.triples if t.kind == kind]
+    @property
+    def kinds(self):
+        """The kind of every column, read off ``counts``."""
+        return np.repeat(("zero", "disk", "circle"), self.counts)
+
+    @functools.cached_property
+    def overlaps(self):
+        """<left_j|right_j> of every column."""
+        return _vdots(self.lefts, self.rights)
+
+
+def _vdots(lefts, rights):
+    """np.vdot of each column pair, one column at a time."""
+    return np.array([np.vdot(l, r) for l, r in zip(lefts.T, rights.T)], dtype=complex)
 
 
 def build_survival(U, psi_d):
@@ -139,58 +136,44 @@ def build_survival(U, psi_d):
 
 
 def dark_states(decomp, psi_d, tau):
-    """All unit-circle eigenstates built per level.
+    """All unit-circle eigenstates built per level: (xis, vectors, levels).
 
-    The vectors are the DetectorSplit's ``darks`` (``psi_d`` may be that
-    split, whose threshold then decides which levels are dark); each dark
-    state carries xi = exp(-i E_k tau), equal left and right vectors, and
-    its level energy.
+    The columns of ``vectors`` are the DetectorSplit's ``dark_vectors``
+    (``psi_d`` may be that split, whose threshold then decides which
+    levels are dark); column j is its own left vector, with eigenvalue
+    ``xis[j]`` = exp(-i E_k tau) of its level k = ``levels[j]``.
     """
+    split = _as_split(decomp, psi_d)
     phases = np.exp(-1j * decomp.energies * tau)
-    return [
-        EigenTriple(complex(phases[k]), v, v, KIND_CIRCLE, source_level=k,
-                    energy=float(decomp.energies[k]))
-        for k, v in _as_split(decomp, psi_d).darks
-    ]
+    return phases[split.dark_levels], split.dark_vectors, split.dark_levels
 
 
 def _cross_level_darks(split, config, groups):
-    """Extra circle states when distinct bright levels alias in phase.
+    """Extra circle states (xis, vectors) when distinct bright levels alias
+    in phase.
 
     Bright states of levels sharing one phase (the ``groups`` of
     ``stationary_points(config)``) support combinations with zero detector
     weight; the same recursion applies with alphas sqrt(p).
     """
-    triples = []
+    xis, vectors = [], [np.empty((split.decomp.dim, 0), dtype=complex)]
     for group in (g for g in groups if len(g) > 1):
         brights = np.column_stack([split.bright(k) for k in group])
-        alphas = np.sqrt(config.p[list(group)])
-        phase = complex(config.phases[group[0]])
-        for v in _dark_combinations(brights, alphas):
-            energy = split.decomp.mean_energy(v)
-            triples.append(
-                EigenTriple(phase, v, v, KIND_CIRCLE, source_level=None, energy=energy)
-            )
-    return triples
-
-
-def bright_states(decomp, psi_d):
-    """(level index, normalized projected detector) for each bright level
-    (of a split ``psi_d``, by its threshold)."""
-    split = _as_split(decomp, psi_d)
-    return [(int(k), split.bright(k)) for k in split.bright_levels]
+        vectors.append(_dark_combinations(brights, np.sqrt(config.p[list(group)])))
+        xis += [complex(config.phases[group[0]])] * (len(group) - 1)
+    return np.array(xis, dtype=complex), np.column_stack(vectors)
 
 
 def zero_eigenpair(U, psi_d):
-    """The always-present xi = 0 pair: right U^-1|psi_d>, left |psi_d> (dense oracle)."""
+    """The always-present xi = 0 pair (right U^-1|psi_d>, left |psi_d>) (dense oracle)."""
     U = np.asarray(U, dtype=complex)
     psi = as_vector(psi_d)
-    right = _phase_fix(U.conj().T @ psi)
-    return EigenTriple(0.0 + 0.0j, right, psi.copy(), KIND_ZERO)
+    return _phase_fix(U.conj().T @ psi), psi.copy()
 
 
 def disk_eigenpairs(decomp, psi_d, tau, roots):
-    """Resolvent-formula eigenvectors for the supplied disk roots.
+    """Resolvent-formula eigenvectors (xis, rights, lefts) for the supplied
+    disk roots, column j for root j.
 
     right ~ (xi - U)^-1 |psi_d> = V (c / (xi - z)) and
     left ~ (conj(xi) - U^dag)^-1 U^dag |psi_d> = V (conj(z) c / (conj(xi) - conj(z))),
@@ -207,10 +190,7 @@ def disk_eigenpairs(decomp, psi_d, tau, roots):
     lefts = decomp.vectors @ (zc * c[:, None] / (np.conj(xis) - zc))
     rights = _phase_fix(rights / np.linalg.norm(rights, axis=0))
     lefts = _phase_fix(lefts / np.linalg.norm(lefts, axis=0))
-    return [
-        EigenTriple(complex(xi), right, left, KIND_DISK)
-        for xi, right, left in zip(xis, rights.T, lefts.T)
-    ]
+    return xis, rights, lefts
 
 
 def _disk_roots(sp):
@@ -273,16 +253,22 @@ def full_spectrum(model, psi_d, tau, grouping_tol=None):
     s_op = EigenSurvivalOperator(decomp, split, tau)
     config = compute_charges(decomp, split, tau)
     sp = stationary_points(config)
-    darks = dark_states(decomp, split, tau) + _cross_level_darks(split, config, sp.groups)
+    dark_xis, darks, levels = dark_states(decomp, split, tau)
+    cross_xis, cross = _cross_level_darks(split, config, sp.groups)
 
     zero_right = _phase_fix(decomp.vectors @ (np.conj(s_op.z) * s_op.c))
-    zero = EigenTriple(0.0 + 0.0j, zero_right, split.vector.copy(), KIND_ZERO)
-    disk = disk_eigenpairs(decomp, split, tau, _disk_roots(sp))
-    min_biorth = float(min((abs(np.vdot(t.left, t.right)) for t in disk), default=1.0))
-    exceptional, counts = _exceptional(sp, min_biorth, len(darks), decomp.dim)
+    disk_xis, disk_rights, disk_lefts = disk_eigenpairs(decomp, split, tau, _disk_roots(sp))
+    min_biorth = float(min(map(abs, _vdots(disk_lefts, disk_rights)), default=1.0))
+    exceptional, counts = _exceptional(sp, min_biorth, levels.size + cross_xis.size,
+                                       decomp.dim)
     # Roots at xi = 0 are the exact zeros stationary_points counted.
+    n_zero = counts[0]
     return SurvivalSpectrum(
-        tuple([zero] * counts[0] + disk + darks),
+        np.concatenate([np.zeros(n_zero, dtype=complex), disk_xis, dark_xis, cross_xis]),
+        np.column_stack([zero_right] * n_zero + [disk_rights, darks, cross]),
+        np.column_stack([split.vector] * n_zero + [disk_lefts, darks, cross]),
+        np.concatenate([np.full(n_zero + disk_xis.size, -1), levels,
+                        np.full(cross_xis.size, -1)]),
         counts,
         exceptional,
         min_biorth,
@@ -294,12 +280,10 @@ def full_spectrum(model, psi_d, tau, grouping_tol=None):
 
 def completeness_check(spectrum):
     """Max deviation of sum |R><L| / <L|R> from the identity, in one product
-    (R / <L|R>) L^dag of the triples' stacked columns."""
+    (R / <L|R>) L^dag of the spectrum's columns."""
     if spectrum.exceptional_flag:
         raise ExceptionalSpectrumError(
             "completeness identity is invalid at an exceptional point"
         )
-    rights = np.column_stack([t.right for t in spectrum.triples])
-    lefts = np.column_stack([t.left for t in spectrum.triples])
-    acc = (rights / (lefts.conj() * rights).sum(axis=0)) @ lefts.conj().T
-    return float(np.max(np.abs(acc - np.eye(rights.shape[0]))))
+    acc = (spectrum.rights / spectrum.overlaps) @ spectrum.lefts.conj().T
+    return float(np.max(np.abs(acc - np.eye(acc.shape[0]))))

@@ -38,15 +38,18 @@ def match_eigenvalues(computed, reference):
     return worst
 
 
-def disk_pair_residual(matrix, triples):
-    """Largest of |S r - xi r| and |l^dag S - xi l^dag| over eigentriples."""
+def disk_pair_residual(matrix, spectrum, kind="disk"):
+    """Largest of |S r - xi r| and |l^dag S - xi l^dag| over a spectrum's
+    columns of one kind."""
     s = np.asarray(matrix, dtype=complex)
+    cols = spectrum.kinds == kind
     worst = 0.0
-    for t in triples:
+    for xi, right, left in zip(spectrum.xis[cols], spectrum.rights[:, cols].T,
+                               spectrum.lefts[:, cols].T):
         worst = max(
             worst,
-            float(np.linalg.norm(s @ t.right - t.xi * t.right)),
-            float(np.linalg.norm(t.left.conj() @ s - t.xi * t.left.conj())),
+            float(np.linalg.norm(s @ right - xi * right)),
+            float(np.linalg.norm(left.conj() @ s - xi * left.conj())),
         )
     return worst
 
@@ -121,6 +124,31 @@ def random_model(seed):
     return model, psi, tau
 
 
+def aliased_model(seed, aliased, rotate):
+    """A random model whose 2-4 aliased levels sit at E_0 + 2 pi m / tau.
+
+    ``aliased`` says which of them the detector reaches: none ("dark"), all
+    ("bright") or some ("both"); every other level is bright.  H is
+    diagonal, or in a random basis when ``rotate``.  Returns
+    (model, detector, start, tau).
+    """
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(3, 9))
+    tau = float(rng.uniform(1.0, 2.0))
+    levels = rng.choice(dim, size=int(rng.integers(2, min(4, dim - 1) + 1)), replace=False)
+    energies = rng.uniform(-2.0, 2.0, size=dim)
+    m = rng.choice([-2, -1, 1, 2], size=levels.size - 1, replace=False)
+    energies[levels[1:]] = energies[levels[0]] + 2.0 * math.pi * m / tau
+    c = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    n_dark = {"dark": levels.size, "bright": 0,
+              "both": int(rng.integers(1, levels.size))}[aliased]
+    c[levels[:n_dark]] = 0.0
+    q = random_unitary(rng, dim) if rotate else np.eye(dim)
+    model = ns.build_custom((q * energies) @ q.conj().T)
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return model, q @ c / np.linalg.norm(c), psi / np.linalg.norm(psi), tau
+
+
 def expected_partition(model, psi, tau, phase_tol=1e-10, zero_threshold=1e-12):
     """Partition (zero, disk, circle) predicted from charges alone."""
     decomp = ns.spectral_decompose(model)
@@ -159,26 +187,36 @@ def regime_of(model, psi_d, tau, psi_in, **tolerances):
 def vector_route_regime(spectrum, psi_in, tie_tol=1e-6, dark_overlap_tol=1e-10):
     """Oracle: (kind, crossover step, energies) from ``full_spectrum``'s vectors.
 
-    The dark weight is summed as |<v|psi>|^2 over the circle triples and
+    The dark weight is summed as |<v|psi>|^2 over the circle columns and
     each disk energy is <r|H|r> of the root's right vector.  ``energies``
     is (predicted energy,) for a fixed point or dark weight, the dominant
     roots' energies for an oscillation and () at an exceptional point.
     """
     psi = np.asarray(psi_in, dtype=complex) / np.linalg.norm(psi_in)
-    darks = spectrum.by_kind("circle")
-    weights = np.array([abs(np.vdot(t.right, psi)) ** 2 for t in darks])
+    decomp = spectrum.operator.decomp
+    h = decomp.hamiltonian()
+
+    def mean_energy(v):
+        return float(np.vdot(v, h @ v).real)
+
+    circle = spectrum.kinds == "circle"
+    darks = spectrum.rights[:, circle].T
+    weights = np.array([abs(np.vdot(v, psi)) ** 2 for v in darks])
+    # a per-level dark state has its level's energy
+    dark_energies = [decomp.energies[k] if k >= 0 else mean_energy(v)
+                     for v, k in zip(darks, spectrum.source_levels[circle])]
     total = float(weights.sum())
     dark = total > dark_overlap_tol
-    disk = spectrum.by_kind("disk")
-    moduli = [abs(t.xi) for t in disk]
+    disk = spectrum.kinds == "disk"
+    moduli = [abs(xi) for xi in spectrum.xis[disk].tolist()]
     top = max(moduli, default=None)
-    tied = [t for t, m in zip(disk, moduli) if top - m <= tie_tol]
+    tied = [r for r, m in zip(spectrum.rights[:, disk].T, moduli) if top - m <= tie_tol]
     second = max((m for m in moduli if top - m > tie_tol), default=None)
     m1, m2 = (1.0, top) if dark else (top, second)
     crossover = 1 if not m2 else max(1, math.ceil(math.log(0.01) / math.log(m2 / m1)))
     if spectrum.exceptional_flag:
         return "Exceptional", crossover, ()
     if dark:
-        return "DarkDominated", crossover, (weights @ [t.energy for t in darks] / total,)
-    energies = tuple(spectrum.operator.decomp.mean_energy(t.right) for t in tied)
+        return "DarkDominated", crossover, (weights @ dark_energies / total,)
+    energies = tuple(mean_energy(r) for r in tied)
     return ("FixedPoint" if len(tied) == 1 else "Oscillatory"), crossover, energies

@@ -34,9 +34,8 @@ def _bright_member(decomp, psi_d, level):
 
 
 def _dark_member(decomp, psi_d, tau, level, member):
-    darks = [t.right for t in ns.dark_states(decomp, psi_d, tau)
-             if t.source_level == level]
-    return darks[member - 1]
+    _, darks, levels = ns.dark_states(decomp, psi_d, tau)
+    return darks[:, levels == level][:, member - 1]
 
 
 def _machinery(model, decomp, psi_d, tau):
@@ -156,7 +155,7 @@ def test_criterion_05_tree_structure_and_dominant_roots(tree):
     level_energies = decomp.column_energies
     ref = helpers.glued_tree_reference_energies(3)
     table_dev = float(np.max(np.abs(np.sort(level_energies) - np.sort(ref))))
-    darks = ns.dark_states(decomp, psi_d, 1.2)
+    _, darks, _ = ns.dark_states(decomp, psi_d, 1.2)
     active = len(ns.charges(decomp, psi_d, 1.2).active)
 
     root12 = max(ns.stationary_points(ns.charges(decomp, psi_d, 1.2)).roots,
@@ -176,7 +175,7 @@ def test_criterion_05_tree_structure_and_dominant_roots(tree):
         (model.dim == 22, f"dim {model.dim}"),
         (degens == (1, 1, 3, 1, 1, 8, 1, 1, 3, 1, 1), f"degeneracies {degens}"),
         (table_dev < 1e-9, f"level-table dev {table_dev:.2e}"),
-        (len(darks) == 15, f"{len(darks)} dark states"),
+        (darks.shape[1] == 15, f"{darks.shape[1]} dark states"),
         (active == 7, f"{active} nonzero charges"),
         (abs(root12 - (-0.999767)) < 1e-5,
          f"tau=1.2 root dev {abs(root12 - (-0.999767)):.2e}"),
@@ -244,7 +243,7 @@ def test_criterion_08_exceptional_certain_detection():
     psi_d = ns.site_state(model, "0")
     tau = 2.0 * math.pi / 3.0
     spectrum = ns.full_spectrum(model, psi_d, tau)
-    max_xi = max(abs(t.xi) for t in spectrum.triples)
+    max_xi = max(abs(xi) for xi in spectrum.xis)
     S = _machinery(model, decomp, psi_d, tau)
     cube = np.max(np.abs(S.matrix @ S.matrix @ S.matrix))
     step = None
@@ -285,13 +284,13 @@ def test_criterion_10_partition_against_dense_oracle():
         dims.add(model.dim)
         spectrum = ns.full_spectrum(model, psi, tau)
         expected = helpers.expected_partition(model, psi, tau)
-        counts = (len(spectrum.by_kind("zero")), len(spectrum.by_kind("disk")),
-                  len(spectrum.by_kind("circle")))
+        counts = tuple(int((spectrum.kinds == kind).sum())
+                       for kind in ("zero", "disk", "circle"))
         assert counts == expected, f"seed {seed}: {counts} != {expected}"
         decomp = ns.spectral_decompose(model)
         S = ns.build_survival(ns.propagator(decomp, tau), psi)
         reference = helpers.dense_eigenvalues(S.matrix)
-        computed = [t.xi for t in spectrum.triples]
+        computed = spectrum.xis
         worst = max(worst, helpers.match_eigenvalues(computed, reference))
     _report(10, [
         (worst < 1e-8, f"50 seeded models, worst oracle mismatch {worst:.2e}"),
@@ -360,14 +359,14 @@ def test_criterion_13_zeno_bound(two_level, chain, v_atom, tree):
 def test_criterion_14_dark_state_immunity(tree):
     model, decomp, psi_d = tree
     tau = 1.1
-    darks = ns.dark_states(decomp, psi_d, tau)
+    _, darks, _ = ns.dark_states(decomp, psi_d, tau)
     S = _machinery(model, decomp, psi_d, tau)
     worst = 0.0
-    for triple in darks:
-        traj = ns.evolve(S, triple.right, 100, model.hamiltonian)
+    for dark in darks.T:
+        traj = ns.evolve(S, dark, 100, model.hamiltonian)
         worst = max(worst, np.max(np.abs(traj.survival_amplitude - 1.0)))
     _report(14, [
-        (len(darks) == 15, f"{len(darks)} dark states"),
+        (darks.shape[1] == 15, f"{darks.shape[1]} dark states"),
         (worst < 1e-10,
          f"worst amplitude deviation {worst:.2e} over 100 steps each"),
     ])

@@ -335,4 +335,4 @@ def test_wide_charge_disk_roots_match_dense_s():
     assert spectrum.counts == (1, 69, 0)
     dense = dense_eigenvalues(ns.build_survival(ns.propagator(decomp, tau), psi_d).matrix)
     dense = dense[np.argsort(np.abs(dense))[1:]]  # drop xi = 0
-    assert match_eigenvalues([t.xi for t in spectrum.by_kind("disk")], dense) < 1e-8
+    assert match_eigenvalues(spectrum.xis[spectrum.kinds == "disk"], dense) < 1e-8

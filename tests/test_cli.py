@@ -464,6 +464,53 @@ def test_main_non_number_input_is_exit_2(tmp_path, capsys, key, payload):
     assert key in capsys.readouterr().err
 
 
+_TREE3_REGIME = {
+    "model": {"type": "glued_tree", "depth": 3},
+    "detection": {"site": "(1,1)"},
+    "initial_state": {"combination": [{"weight": 1.0, "site": "(2,1)"},
+                                      {"weight": 1.0, "site": "(2,2)"}]},
+    "tau": 1.3,
+    "experiment": "regime",
+}
+
+
+@pytest.mark.parametrize("key, payload", [
+    ("grouping_tol", dict(_TREE3_REGIME, tolerances={"grouping_tol": math.nan})),
+    ("tie_tol", dict(_TREE3_REGIME, tolerances={"tie_tol": math.inf})),
+    ("tau", dict(_TREE3_REGIME, tau=math.nan)),
+    ("tau", dict(_TREE3_REGIME, tau=10 ** 400)),
+    ("tau", dict(_TREE3_REGIME, tau={"start": 0.5, "stop": math.inf, "steps": 3})),
+    ("matrix_re", _chain_payload(
+        model={"type": "custom", "matrix_re": [[0.0, math.nan], [1.0, 0.0]]})),
+    ("state vector re", _chain_payload(detection={"vector": {"re": [math.inf, 0, 0]}})),
+    ("weight", _chain_payload(experiment="evolve", initial_state={
+        "combination": [{"weight": math.nan, "site": "2"}, {"site": "1"}]})),
+    ("delta", _chain_payload(experiment="perturb", perturb={
+        "scheme": "triple_charge", "center_index": 1, "pair_indices": [0, 2],
+        "delta": -math.inf})),
+], ids=["grouping_tol_nan", "tie_tol_infinity", "tau_nan", "tau_beyond_float",
+        "sweep_stop_infinity", "matrix_re_nan", "vector_infinity", "weight_nan",
+        "delta_infinity"])
+def test_main_non_finite_number_is_exit_2(tmp_path, capsys, key, payload):
+    """NaN, the infinities (both read by Python's json) and integers beyond
+    the float range are config errors, not silently wrong numbers."""
+    cfg = _write(tmp_path, payload)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--tie-tol", "-1"), ("--tie-tol", "nan"), ("--tie-tol", "0"),
+    ("--grouping-tol", "-1"), ("--grouping-tol", "nan"), ("--grouping-tol", "inf"),
+])
+def test_main_bad_tolerance_flag_is_exit_2(tmp_path, capsys, flag, value):
+    """The tolerance flags follow the config's rule: a positive finite number."""
+    cfg = _write(tmp_path, _TREE3_REGIME)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), flag, value]) == 2
+    key = flag[2:].replace("-", "_")
+    assert f"tolerance {key} must be a positive finite number" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, perturb", [
     ("weak_index", {"scheme": "weak_charge", "weak_index": 7}),
     ("weak_index", {"scheme": "weak_charge", "weak_index": -1}),
@@ -598,10 +645,12 @@ def test_energy_state_reads_the_configured_threshold(tmp_path, monkeypatch):
     stored = dark.decomp.members(2)[:, 0]
     np.testing.assert_allclose(bright.initial_state, -stored, atol=1e-12)
     np.testing.assert_allclose(dark.initial_state, stored, atol=1e-12)
-    assert bright.spectrum(2.0).by_kind("circle") == []
-    (circle,) = dark.spectrum(2.0).by_kind("circle")
-    assert circle.source_level == 2
-    assert abs(np.vdot(circle.right, dark.initial_state)) == pytest.approx(1.0, abs=1e-12)
+    assert bright.spectrum(2.0).counts[2] == 0
+    spectrum = dark.spectrum(2.0)
+    (circle,) = np.flatnonzero(spectrum.kinds == "circle")
+    assert spectrum.source_levels[circle] == 2
+    assert abs(np.vdot(spectrum.rights[:, circle], dark.initial_state)) == pytest.approx(
+        1.0, abs=1e-12)
 
     built = []
     init = ns.DetectorSplit.__init__

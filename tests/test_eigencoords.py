@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import nullsteer as ns
-from nullsteer.charges import ZERO_CHARGE_THRESHOLD
+from nullsteer.charges import ZERO_CHARGE_THRESHOLD, _dark_combinations
 from nullsteer.cli import run_experiment
 from nullsteer.configio import resolve_state
 from nullsteer.csvio import format_value, read_csv
@@ -83,11 +83,11 @@ def test_disk_and_zero_pairs_solve_dense_s_tree_d6():
     tau = 1.1
     spectrum = ns.full_spectrum(decomp, psi_d, tau)
     s = ns.build_survival(ns.propagator(decomp, tau), psi_d).matrix
-    disk = spectrum.by_kind("disk")
-    assert len(disk) == spectrum.counts[1] > 0
-    assert disk_pair_residual(s, disk) < 1e-10
-    zero = spectrum.by_kind("zero")[0]
-    assert np.linalg.norm(s @ zero.right) < 1e-10
+    assert (spectrum.kinds == "disk").sum() == spectrum.counts[1] > 0
+    assert disk_pair_residual(s, spectrum) < 1e-10
+    zero = spectrum.rights[:, 0]
+    assert spectrum.kinds[0] == "zero"
+    assert np.linalg.norm(s @ zero) < 1e-10
     np.testing.assert_allclose(spectrum.operator.matrix, s, atol=1e-12)
 
 
@@ -96,9 +96,8 @@ def test_full_spectrum_accepts_decomposition(chain):
     from_model = ns.full_spectrum(model, psi_d, 2.0)
     from_decomp = ns.full_spectrum(decomp, psi_d, 2.0)
     assert from_model.counts == from_decomp.counts
-    for a, b in zip(from_model.triples, from_decomp.triples):
-        assert a.xi == b.xi
-        np.testing.assert_allclose(a.right, b.right, atol=1e-14)
+    assert np.array_equal(from_model.xis, from_decomp.xis)
+    np.testing.assert_allclose(from_model.rights, from_decomp.rights, atol=1e-14)
     # a decomposition already fixes its level grouping
     with pytest.raises(ns.InvalidParameterError):
         ns.full_spectrum(decomp, psi_d, 2.0, grouping_tol=1e-6)
@@ -114,7 +113,6 @@ def test_operator_step_matches_dense_step(tree):
     np.testing.assert_allclose(decomp.vectors @ s_eig.apply(x), s_dense @ psi, atol=1e-14)
     energy = float(np.real(np.vdot(psi, model.hamiltonian @ psi)))
     assert abs(s_eig.energy(x) - energy) < 1e-14
-    assert abs(decomp.mean_energy(psi) - s_eig.energy(x)) < 1e-15
     (nxt_eig, amp_eig), (nxt, amp) = ns.step(s_eig, psi), ns.step(s_dense, psi)
     assert abs(amp_eig - amp) < 1e-14
     np.testing.assert_allclose(nxt_eig, nxt, atol=1e-14)
@@ -271,25 +269,31 @@ def test_sweep_rows_match_fresh_spectra(tmp_path):
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-14
 
 
-def test_split_circle_states_solve_dense_s(tree):
+def test_split_circle_states_solve_dense_s(tree, monkeypatch):
     model, decomp, psi_d = tree
     split = ns.DetectorSplit(decomp, psi_d)
+    combine = _count_calls(monkeypatch, _dark_combinations)
     e = decomp.energies
     aliased = 2.0 * math.pi / (e[10] - e[4])  # two pairs of bright levels alias
+    calls = []
     for tau in (1.1, aliased, 2.3):
+        before = len(combine)
         spectrum = ns.full_spectrum(decomp, split, tau)
+        calls.append(len(combine) - before)
         s = ns.build_survival(ns.propagator(decomp, tau), psi_d).matrix
-        circle = spectrum.by_kind("circle")
-        for t in circle:
-            assert np.linalg.norm(s @ t.right - t.xi * t.right) <= 1e-12
-            assert np.linalg.norm(t.left.conj() @ s - t.xi * t.left.conj()) <= 1e-12
+        assert disk_pair_residual(s, spectrum, "circle") <= 1e-12
         assert spectrum.counts == expected_partition(model, psi_d, tau)
-        # every spectrum of one split reuses its per-level dark vectors
-        level = [t.right for t in circle if t.source_level is not None]
-        assert len(level) == len(split.darks)
-        assert all(a is b for a, (_, b) in zip(level, split.darks))
-        cross = [t for t in circle if t.source_level is None]
-        assert len(cross) == (2 if tau == aliased else 0)
+        # every spectrum of one split reuses its per-level dark vectors bit for bit
+        n_dark = split.dark_vectors.shape[1]
+        circle = slice(sum(spectrum.counts[:2]), None)
+        assert np.array_equal(spectrum.rights[:, circle][:, :n_dark], split.dark_vectors)
+        assert np.array_equal(spectrum.source_levels[circle][:n_dark], split.dark_levels)
+        cross = spectrum.source_levels[circle][n_dark:]
+        assert (cross == -1).all() and cross.size == (2 if tau == aliased else 0)
+    # the first spectrum builds the split's dark vectors, the later ones only
+    # the cross-level combinations, one call per alias group
+    assert calls[0] > 0 and calls[1:] == [2, 0]
+    assert not split.dark_vectors.flags.writeable
 
 
 def test_configured_zero_threshold_reaches_every_charge_call(tmp_path, monkeypatch):

@@ -10,7 +10,7 @@ from nullsteer.charges import ALIAS_TOL
 
 from nullsteer.configio import resolve_state
 
-from helpers import random_model, random_unitary, regime_of, vector_route_regime
+from helpers import aliased_model, random_model, regime_of, vector_route_regime
 
 
 def _machinery(model, decomp, psi_d, tau):
@@ -67,10 +67,11 @@ def test_evolve_certain_detection_step_index(two_level):
 def test_phase_accumulates_eigenvalue_argument(chain):
     model, decomp, psi_d = chain
     spectrum = ns.full_spectrum(model, psi_d, 2.0)
-    dom = max(spectrum.by_kind("disk"), key=lambda t: abs(t.xi))
+    disk = np.flatnonzero(spectrum.kinds == "disk")
+    dom = disk[np.argmax(np.abs(spectrum.xis[disk]))]
     s, h = _machinery(model, decomp, psi_d, 2.0)
-    traj = ns.evolve(s, dom.right, 10, h)
-    want = 10 * float(np.angle(dom.xi))
+    traj = ns.evolve(s, spectrum.rights[:, dom], 10, h)
+    want = 10 * float(np.angle(spectrum.xis[dom]))
     assert abs(traj.phase[10] - want) < 1e-9
 
 
@@ -99,9 +100,9 @@ def test_evolve_spectral_refuses_exceptional():
 
 def test_dark_initial_state_is_immune(tree):
     model, decomp, psi_d = tree
-    dark = ns.dark_states(decomp, psi_d, 1.1)[0]
+    dark = ns.dark_states(decomp, psi_d, 1.1)[1][:, 0]
     s, h = _machinery(model, decomp, psi_d, 1.1)
-    traj = ns.evolve(s, dark.right, 50, h)
+    traj = ns.evolve(s, dark, 50, h)
     assert np.max(np.abs(traj.survival_amplitude[1:] - 1.0)) < 1e-12
     assert ns.energy_conservation_check(traj, 1e-9)
 
@@ -116,12 +117,13 @@ def test_energy_conservation_detects_drift(v_atom):
 def test_classify_dark_dominated(tree):
     model, decomp, psi_d = tree
     tau = 1.1
-    dark = ns.dark_states(decomp, psi_d, tau)[0]
-    bright = ns.bright_states(decomp, psi_d)[0][1]
-    psi_in = (dark.right + bright) / math.sqrt(2.0)
+    _, darks, levels = ns.dark_states(decomp, psi_d, tau)
+    split = ns.DetectorSplit(decomp, psi_d)
+    bright = split.bright(split.bright_levels[0])
+    psi_in = (darks[:, 0] + bright) / math.sqrt(2.0)
     regime = regime_of(decomp, psi_d, tau, psi_in)
     assert regime.kind == "DarkDominated"
-    assert abs(regime.predicted_energy - dark.energy) < 1e-9
+    assert abs(regime.predicted_energy - decomp.energies[levels[0]]) < 1e-9
     assert len(regime.dominant) == 1
 
 
@@ -273,35 +275,10 @@ def test_dark_levels_sharing_a_phase_give_one_dominant_entry():
     assert regime.predicted_energy == 3.141592653589793
 
 
-def _aliased_model(seed, aliased, rotate):
-    """A random model whose 2-4 aliased levels sit at E_0 + 2 pi m / tau.
-
-    ``aliased`` says which of them the detector reaches: none ("dark"), all
-    ("bright") or some ("both"); every other level is bright.  H is
-    diagonal, or in a random basis when ``rotate``.  Returns
-    (model, detector, start, tau).
-    """
-    rng = np.random.default_rng(seed)
-    dim = int(rng.integers(3, 9))
-    tau = float(rng.uniform(1.0, 2.0))
-    levels = rng.choice(dim, size=int(rng.integers(2, min(4, dim - 1) + 1)), replace=False)
-    energies = rng.uniform(-2.0, 2.0, size=dim)
-    m = rng.choice([-2, -1, 1, 2], size=levels.size - 1, replace=False)
-    energies[levels[1:]] = energies[levels[0]] + 2.0 * math.pi * m / tau
-    c = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    n_dark = {"dark": levels.size, "bright": 0,
-              "both": int(rng.integers(1, levels.size))}[aliased]
-    c[levels[:n_dark]] = 0.0
-    q = random_unitary(rng, dim) if rotate else np.eye(dim)
-    model = ns.build_custom((q * energies) @ q.conj().T)
-    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return model, q @ c / np.linalg.norm(c), psi / np.linalg.norm(psi), tau
-
-
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from(["dark", "bright", "both"]), st.booleans())
 def test_aliased_levels_regime_matches_the_dense_dark_projector(seed, aliased, rotate):
-    model, psi_d, psi, tau = _aliased_model(seed, aliased, rotate)
+    model, psi_d, psi, tau = aliased_model(seed, aliased, rotate)
     decomp = ns.spectral_decompose(model)
     split = ns.DetectorSplit(decomp, psi_d)
     config = ns.charges(decomp, split, tau)
@@ -383,12 +360,16 @@ def test_random_models_spectral_equals_iterative(seed):
     rng = np.random.default_rng(seed + 1)
     psi_in = rng.normal(size=model.dim) + 1j * rng.normal(size=model.dim)
     psi_in = psi_in / np.linalg.norm(psi_in)
-    spectrum = ns.full_spectrum(model, psi_d, tau)
-    decomp = ns.spectral_decompose(model)
-    s, h = _machinery(model, decomp, psi_d, tau)
-    traj = ns.evolve(s, psi_in, 30, h)
-    states = traj.states()
-    for n in (1, 10, 30):
-        state, energy = ns.evolve_spectral(spectrum, psi_in, n, h)
-        assert abs(1.0 - abs(np.vdot(state, states[n]))) < 1e-8
-        assert abs(energy - traj.mean_energy[n]) < 1e-8
+    # and 2-4 bright levels aliased at E_0 + 2 pi m / tau
+    aliased, aliased_d, aliased_in, aliased_tau = aliased_model(seed, "bright", seed % 2 == 1)
+    for model, psi_d, psi_in, tau in ((model, psi_d, psi_in, tau),
+                                      (aliased, aliased_d, aliased_in, aliased_tau)):
+        spectrum = ns.full_spectrum(model, psi_d, tau)
+        decomp = ns.spectral_decompose(model)
+        s, h = _machinery(model, decomp, psi_d, tau)
+        traj = ns.evolve(s, psi_in, 30, h)
+        states = traj.states()
+        for n in (1, 10, 30):
+            state, energy = ns.evolve_spectral(spectrum, psi_in, n, h)
+            assert abs(1.0 - abs(np.vdot(state, states[n]))) < 1e-8
+            assert abs(energy - traj.mean_energy[n]) < 1e-8

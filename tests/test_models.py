@@ -109,6 +109,13 @@ def test_custom_hermiticity_gate():
         ns.build_custom(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_custom_rejects_non_finite_entries(bad):
+    # NaN passes a Hermiticity test written as "deviation > tol"
+    with pytest.raises(InvalidMatrixError, match="finite"):
+        ns.build_custom(np.array([[0.0, bad], [bad, 1.0]]))
+
+
 def test_spectral_grouping_default_and_override():
     model = ns.build_custom(np.diag([0.0, 5e-9, 1.0]))
     grouped = ns.spectral_decompose(model)

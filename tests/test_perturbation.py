@@ -36,7 +36,7 @@ def test_weak_charge_v_atom(v_atom):
     assert est.claimed_order == "O(p0^2)"
     assert est.warning is None
     # the predicted final state is the weak level itself
-    right = ns.disk_eigenpairs(decomp, psi_d, 0.5, [exact])[0].right
+    right = ns.disk_eigenpairs(decomp, psi_d, 0.5, [exact])[1][:, 0]
     assert abs(np.vdot(est.state_estimate, right)) > 1.0 - 1e-4
     assert abs(est.energy_estimate - decomp.energies[1]) < 1e-12
 
@@ -82,7 +82,7 @@ def test_two_merge_state_estimate(chain):
     config = ns.charges(decomp, psi_d, 2.0)
     est = two_merge_estimate(config, 0, 2, decomp=decomp, psi_d=psi_d)
     exact = max(ns.stationary_points(config).roots, key=abs)
-    right = ns.disk_eigenpairs(decomp, psi_d, 2.0, [exact])[0].right
+    right = ns.disk_eigenpairs(decomp, psi_d, 2.0, [exact])[1][:, 0]
     assert abs(np.linalg.norm(est.state_estimate) - 1.0) < 1e-12
     assert abs(np.vdot(est.state_estimate, right)) > 0.99
 

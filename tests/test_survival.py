@@ -14,8 +14,10 @@ from nullsteer import (
 from nullsteer.charges import ALIAS_TOL, _alias_groups
 
 from helpers import (
+    aliased_model,
     dense_eigenvalues,
     disk_pair_residual,
+    expected_partition,
     match_eigenvalues,
     random_model,
     random_unitary,
@@ -51,31 +53,32 @@ def test_zero_eigenpair(chain):
     _, decomp, psi_d = chain
     u = ns.propagator(decomp, 2.0)
     s = ns.build_survival(u, psi_d)
-    t = ns.zero_eigenpair(u, psi_d)
-    assert t.xi == 0.0 and t.kind == "zero"
-    assert np.linalg.norm(s.matrix @ t.right) < 1e-12
-    assert np.linalg.norm(t.left.conj() @ s.matrix) < 1e-12
+    right, left = ns.zero_eigenpair(u, psi_d)
+    assert np.linalg.norm(s.matrix @ right) < 1e-12
+    assert np.linalg.norm(left.conj() @ s.matrix) < 1e-12
 
 
 def test_two_level_partition_and_root(two_level):
     model, decomp, psi_d = two_level
     spectrum = ns.full_spectrum(model, psi_d, 0.7)
     assert spectrum.counts == (1, 1, 0)
-    disk = spectrum.by_kind("disk")[0]
-    assert abs(disk.xi - math.cos(0.7)) < 1e-12
+    (xi,) = spectrum.xis[spectrum.kinds == "disk"]
+    assert abs(xi - math.cos(0.7)) < 1e-12
 
 
 def test_disk_eigenpairs_solve_s(chain, tree):
     for (model, decomp, psi_d), tau in ((chain, 2.0), (tree, 1.2)):
         spectrum = ns.full_spectrum(model, psi_d, tau)
         s = spectrum.operator.matrix
-        for t in spectrum.by_kind("disk"):
-            assert np.linalg.norm(s @ t.right - t.xi * t.right) < 1e-9
-            assert np.linalg.norm(s.conj().T @ t.left - np.conj(t.xi) * t.left) < 1e-9
-            assert abs(np.linalg.norm(t.right) - 1.0) < 1e-12
-            assert abs(np.vdot(t.left, t.right)) > 1e-3
+        disk = spectrum.kinds == "disk"
+        for xi, right, left in zip(spectrum.xis[disk], spectrum.rights[:, disk].T,
+                                   spectrum.lefts[:, disk].T):
+            assert np.linalg.norm(s @ right - xi * right) < 1e-9
+            assert np.linalg.norm(s.conj().T @ left - np.conj(xi) * left) < 1e-9
+            assert abs(np.linalg.norm(right) - 1.0) < 1e-12
+            assert abs(np.vdot(left, right)) > 1e-3
             # deterministic gauge: the largest component is real positive
-            for v in (t.right, t.left):
+            for v in (right, left):
                 lead = v[int(np.argmax(np.abs(v)))]
                 assert lead.imag < 1e-10 and lead.real > 0
 
@@ -87,9 +90,11 @@ def test_disk_eigenpairs_match_one_root_at_a_time(tree):
     for tau in (0.7, 1.25, 2.1):
         roots = [r for r in ns.full_spectrum(decomp, psi_d, tau).stationary.roots if r]
         z = np.exp(-1j * decomp.column_energies * tau)
-        for t, xi in zip(ns.disk_eigenpairs(decomp, psi_d, tau, roots), roots):
-            for got, coef in ((t.right, c / (xi - z)),
-                              (t.left, np.conj(z) * c / (np.conj(xi) - np.conj(z)))):
+        xis, rights, lefts = ns.disk_eigenpairs(decomp, psi_d, tau, roots)
+        assert xis.tolist() == roots
+        for right, left, xi in zip(rights.T, lefts.T, roots):
+            for got, coef in ((right, c / (xi - z)),
+                              (left, np.conj(z) * c / (np.conj(xi) - np.conj(z)))):
                 v = decomp.vectors @ coef
                 v = v / np.linalg.norm(v)
                 lead = v[int(np.argmax(np.abs(v)))]
@@ -137,16 +142,15 @@ def test_dark_combination_coeffs_invariants():
 def test_dark_states_tree(tree):
     model, decomp, psi_d = tree
     tau = 1.1
-    darks = ns.dark_states(decomp, psi_d, tau)
-    assert len(darks) == 15
-    per_level = {}
+    xis, vectors, levels = ns.dark_states(decomp, psi_d, tau)
+    assert vectors.shape == (22, 15) and xis.shape == levels.shape == (15,)
+    assert vectors.dtype == float  # a real H and detector give real dark vectors
     s = _survival(decomp, psi_d, tau).matrix
-    for t in darks:
-        per_level[t.source_level] = per_level.get(t.source_level, 0) + 1
-        assert abs(np.vdot(psi_d, t.right)) < 1e-12
-        assert np.linalg.norm(s @ t.right - t.xi * t.right) < 1e-10
-        assert abs(abs(t.xi) - 1.0) < 1e-12
-        assert t.right is t.left or np.allclose(t.right, t.left)
+    for xi, v in zip(xis, vectors.T):
+        assert abs(np.vdot(psi_d, v)) < 1e-12
+        assert np.linalg.norm(s @ v - xi * v) < 1e-10
+        assert abs(abs(xi) - 1.0) < 1e-12
+    per_level = dict(zip(*np.unique(levels, return_counts=True)))
     assert per_level == {1: 1, 2: 2, 3: 1, 5: 7, 7: 1, 8: 2, 9: 1}
 
 
@@ -154,16 +158,16 @@ def test_dark_states_are_deterministic(tree):
     _, decomp, psi_d = tree
     a = ns.dark_states(decomp, psi_d, 1.1)
     b = ns.dark_states(decomp, psi_d, 1.1)
-    for x, y in zip(a, b):
-        assert np.array_equal(x.right, y.right)
+    assert a[1] is not b[1]
+    assert np.array_equal(a[1], b[1])
 
 
-def test_bright_states(chain, tree):
+def test_split_bright_projections(chain, tree):
     for (model, decomp, psi_d), n_expected in ((chain, 3), (tree, 7)):
         config = ns.charges(decomp, psi_d, 1.0)
-        brights = ns.bright_states(decomp, psi_d)
-        assert len(brights) == n_expected
-        for k, b in brights:
+        split = ns.DetectorSplit(decomp, psi_d)
+        assert len(split.bright_levels) == n_expected
+        for k, b in ((k, split.bright(k)) for k in split.bright_levels):
             assert abs(np.linalg.norm(b) - 1.0) < 1e-12
             amp = np.vdot(b, psi_d)
             assert abs(amp - math.sqrt(config.charges[k].p)) < 1e-12
@@ -175,9 +179,9 @@ def test_phase_aliasing_two_level(two_level):
     spectrum = ns.full_spectrum(model, psi_d, math.pi)
     assert spectrum.counts == (1, 0, 1)
     assert spectrum.stationary.groups == ((0, 1),)
-    circle = spectrum.by_kind("circle")[0]
-    assert circle.source_level is None  # cross-level combination
-    assert abs(np.vdot(psi_d, circle.right)) < 1e-12
+    (circle,) = np.flatnonzero(spectrum.kinds == "circle")
+    assert spectrum.source_levels[circle] == -1  # cross-level combination
+    assert abs(np.vdot(psi_d, spectrum.rights[:, circle])) < 1e-12
     merged = ns.merged_charge_config(ns.charges(decomp, psi_d, math.pi))
     assert len(merged.active) == 1
     assert abs(merged.p[merged.active[0]] - 1.0) < 1e-12
@@ -211,10 +215,11 @@ def test_full_spectrum_counts_and_completeness(chain, tree):
         spectrum = ns.full_spectrum(model, psi_d, tau)
         assert spectrum.counts == counts
         assert not spectrum.exceptional_flag
-        assert len(spectrum.triples) == model.dim
+        assert spectrum.xis.shape == spectrum.source_levels.shape == (model.dim,)
+        assert spectrum.rights.shape == spectrum.lefts.shape == (model.dim, model.dim)
         assert ns.completeness_check(spectrum) < 1e-8
         oracle = dense_eigenvalues(spectrum.operator.matrix)
-        assert match_eigenvalues([t.xi for t in spectrum.triples], oracle) < 1e-8
+        assert match_eigenvalues(spectrum.xis, oracle) < 1e-8
 
 
 def test_full_spectrum_exceptional_refusal():
@@ -222,7 +227,7 @@ def test_full_spectrum_exceptional_refusal():
     psi_d = ns.site_state(model, "0")
     spectrum = ns.full_spectrum(model, psi_d, 2.0 * math.pi / 3.0)
     assert spectrum.exceptional_flag
-    assert [t.xi for t in spectrum.triples] == [0.0, 0.0, 0.0]
+    assert spectrum.xis.tolist() == [0.0, 0.0, 0.0]
     with pytest.raises(ExceptionalSpectrumError):
         ns.completeness_check(spectrum)
 
@@ -239,14 +244,21 @@ def test_full_spectrum_away_from_exceptional_tau():
 @given(st.integers(0, 10_000))
 def test_random_spectra_match_dense_oracle(seed):
     model, psi, tau = random_model(seed % 997)
-    spectrum = ns.full_spectrum(model, psi, tau)
-    assert not spectrum.exceptional_flag
-    oracle = dense_eigenvalues(spectrum.operator.matrix)
-    assert match_eigenvalues([t.xi for t in spectrum.triples], oracle) < 1e-8
-    assert ns.completeness_check(spectrum) < 1e-8
-    decomp = ns.spectral_decompose(model)
-    dense = ns.build_survival(ns.propagator(decomp, tau), psi).matrix
-    assert disk_pair_residual(dense, spectrum.by_kind("disk")) < 1e-10
+    # and 2-4 bright levels aliased at E_0 + 2 pi m / tau
+    aliased, aliased_d, _, aliased_tau = aliased_model(seed, "bright", seed % 2 == 1)
+    for model, psi, tau in ((model, psi, tau), (aliased, aliased_d, aliased_tau)):
+        spectrum = ns.full_spectrum(model, psi, tau)
+        assert not spectrum.exceptional_flag
+        oracle = dense_eigenvalues(spectrum.operator.matrix)
+        assert match_eigenvalues(spectrum.xis, oracle) < 1e-8
+        assert spectrum.counts == expected_partition(model, psi, tau)
+        assert ns.completeness_check(spectrum) < 1e-8
+        decomp = ns.spectral_decompose(model)
+        dense = ns.build_survival(ns.propagator(decomp, tau), psi).matrix
+        assert disk_pair_residual(dense, spectrum) < 1e-10
+        # every circle column solves S, the cross-level combinations included
+        assert disk_pair_residual(dense, spectrum, "circle") < 1e-10
+    assert (spectrum.source_levels[spectrum.kinds == "circle"] == -1).any()
 
 
 @settings(derandomize=True, max_examples=15, deadline=None)
@@ -278,10 +290,10 @@ def test_weakly_coupled_level_is_one_dark_state(chain, eps):
     assert spectrum.counts == (1, 1, 1)
     assert not spectrum.exceptional_flag
     p2 = spectrum.charge_config.charges[2].p
-    (dark,) = spectrum.by_kind("circle")
-    assert dark.source_level == 2
-    s = spectrum.operator.matrix
-    assert np.linalg.norm(s @ dark.right - dark.xi * dark.right) <= 2.0 * math.sqrt(p2)
+    (dark,) = np.flatnonzero(spectrum.kinds == "circle")
+    assert spectrum.source_levels[dark] == 2
+    s, v, xi = spectrum.operator.matrix, spectrum.rights[:, dark], spectrum.xis[dark]
+    assert np.linalg.norm(s @ v - xi * v) <= 2.0 * math.sqrt(p2)
     assert ns.completeness_check(spectrum) <= 1e-8 + 2.0 * math.sqrt(p2)
 
 

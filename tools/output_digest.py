@@ -14,9 +14,11 @@ checkouts whose digests match write byte-identical outputs on the battery:
     diff base.txt head.txt
 
 The battery: every experiment on every built-in model, tau sweeps and
-regime sweeps of the glued trees of depth 3, 4, 5 and 8, two custom models
-whose levels alias in phase (dark levels in one, three bright levels in
-the other), every perturbation scheme, and the bundled figures.
+regime sweeps of the glued trees of depth 3, 4, 5 and 8, the spectrum of
+the depth-5 tree, a depth-3 evolution from a dark combination inside a
+bright level (``energy_state`` [5, 1]), two custom models whose levels
+alias in phase (dark levels in one, three bright levels in the other),
+every perturbation scheme, and the bundled figures.
 """
 
 import contextlib
@@ -90,6 +92,14 @@ def battery():
         yield f"tree{depth}-sweep", dict(base, tau=TREE_SWEEP, experiment="sweep-tau"), []
         yield f"tree{depth}-regime-sweep", dict(base, tau=TREE_SWEEP, experiment="regime"), []
         yield f"tree{depth}-regime", dict(base, tau=1.1, experiment="regime"), []
+        if depth == 5:
+            yield "tree5-spectrum", dict(base, tau=1.1, experiment="spectrum"), []
+    # Level 5 of the depth-3 tree is bright with degeneracy 8: member 1 is
+    # its first dark combination.
+    model, detection, _, tau = MODELS["tree3"]
+    yield "tree3-evolve-dark-member", {
+        "model": model, "detection": detection, "initial_state": {"energy_state": [5, 1]},
+        "tau": tau, "n_steps": 60, "experiment": "evolve"}, ["--dump-states"]
     # Two dark levels at one phase: 0 and 2 pi at tau 1.
     dark = {"model": _custom([0.0, 2.0 * math.pi, 1.0]), "detection": {"site": "2"},
             "initial_state": _vector([1.0, 1.0, 0.3]), "tau": 1.0}
