@@ -218,10 +218,8 @@ class DetectorSplit:
         bright = np.isin(np.arange(self.decomp.w), self.bright_levels)
         return np.repeat(np.arange(self.decomp.w), self.decomp.degeneracies - bright)
 
-    @functools.cached_property
-    def dark_vectors(self):
-        """Read-only (dim, n_dark) array of the per-level dark states, level
-        by level; it is real when they all are (a real H and detector).
+    def level_darks(self, k):
+        """(dim, n) array of level k's own dark states, real when they all are.
 
         A dark level gives each of its members as it stands.  A bright
         level of degeneracy g gives g - 1: its members are sorted by
@@ -230,17 +228,18 @@ class DetectorSplit:
         overlap is at least ORTHOGONALITY_TOL, and the others are given as
         they stand, before the combinations.
         """
-        bright = set(self.bright_levels.tolist())
-        out = []
-        for k in range(self.decomp.w):
-            members, a, seeds = self.decomp.members(k), self.overlaps(k), []
-            if k in bright:
-                order = sorted(range(a.size), key=lambda l: (-abs(a[l]), l))
-                seeds = order[:1] + [l for l in order[1:] if abs(a[l]) >= ORTHOGONALITY_TOL]
-            out.append(_phase_fix(members[:, [l for l in range(a.size) if l not in seeds]]))
-            if seeds:
-                out.append(_dark_combinations(members[:, seeds], a[seeds]))
-        vectors = np.column_stack(out)
+        members, a, seeds = self.decomp.members(k), self.overlaps(k), []
+        if k in self.bright_levels:
+            order = sorted(range(a.size), key=lambda l: (-abs(a[l]), l))
+            seeds = order[:1] + [l for l in order[1:] if abs(a[l]) >= ORTHOGONALITY_TOL]
+        rest = _phase_fix(members[:, [l for l in range(a.size) if l not in seeds]])
+        combos = [_dark_combinations(members[:, seeds], a[seeds])] if seeds else []
+        return np.column_stack([rest] + combos)
+
+    @functools.cached_property
+    def dark_vectors(self):
+        """Read-only (dim, n_dark) stack of every level's ``level_darks``, in level order."""
+        vectors = np.column_stack([self.level_darks(k) for k in range(self.decomp.w)])
         vectors.setflags(write=False)
         return vectors
 

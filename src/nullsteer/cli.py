@@ -117,8 +117,8 @@ class _Runtime:
 def _run_spectrum(rt, out_dir):
     spectrum = rt.spectrum(rt.config.tau_values[0])
     columns = (spectrum.kinds.tolist(), spectrum.xis.tolist(),
-               spectrum.source_levels.tolist(), spectrum.overlaps)
-    rows = [(kind, xi.real, xi.imag, abs(xi), level, float(abs(overlap)))
+               spectrum.source_levels.tolist(), spectrum.biorthogonal_overlaps.tolist())
+    rows = [(kind, xi.real, xi.imag, abs(xi), level, overlap)
             for kind, xi, level, overlap in zip(*columns)]
     path = os.path.join(out_dir, "spectrum.csv")
     write_csv(

@@ -337,32 +337,26 @@ def _vector_from_spec(spec, dim):
 def aligned_member(decomp, psi_d, level_index, member_index):
     """Resolve [k, l] with member 0 = bright projection, 1.. = dark combos.
 
-    ``psi_d`` may be a DetectorSplit; its threshold then decides whether
-    level k is bright.
+    A level of degeneracy g has members 0..g-1 either way.  ``psi_d`` may
+    be a DetectorSplit; its threshold then decides whether level k is bright.
     """
     if not 0 <= level_index < decomp.w:
         raise ConfigError(
             f"energy_state level {level_index} out of range 0..{decomp.w - 1}"
         )
+    degeneracy = decomp.degeneracies[level_index]
+    if not 0 <= member_index < degeneracy:
+        raise ConfigError(
+            f"energy_state member {member_index} out of range for level "
+            f"{level_index} (degeneracy {degeneracy})"
+        )
     if psi_d is not None:
         split = _as_split(decomp, psi_d)
         if level_index in split.bright_levels:
-            darks = split.dark_vectors[:, split.dark_levels == level_index]
-            if not 0 <= member_index <= darks.shape[1]:
-                raise ConfigError(
-                    f"energy_state member {member_index} out of range for level "
-                    f"{level_index} (bright + {darks.shape[1]} dark members)"
-                )
             if member_index:
-                return darks[:, member_index - 1].copy()
+                return split.level_darks(level_index)[:, member_index - 1].copy()
             return split.bright(level_index)
-    members = decomp.members(level_index)
-    if not 0 <= member_index < members.shape[1]:
-        raise ConfigError(
-            f"energy_state member {member_index} out of range for level "
-            f"{level_index} (degeneracy {members.shape[1]})"
-        )
-    return members[:, member_index].copy()
+    return decomp.members(level_index)[:, member_index].copy()
 
 
 def resolve_state(spec, model, decomp, psi_d=None):

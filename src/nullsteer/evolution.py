@@ -15,15 +15,15 @@ import math
 
 import numpy as np
 
-from .charges import DEFAULT_TIE_TOL, _alias_groups, disk_root_levels
+from .charges import DEFAULT_TIE_TOL, _alias_groups
 from .errors import (
     CertainDetectionError,
     ExceptionalSpectrumError,
     InvalidParameterError,
     UnsupportedMultiplicityError,
 )
-from .models import as_vector
-from .survival import _disk_roots, _exceptional
+from .models import _to_sites, as_vector
+from .survival import _classify
 
 #: A raw step norm below this means the next measurement detects for sure.
 CERTAIN_DETECTION_TOL = 1e-14
@@ -63,7 +63,7 @@ class Trajectory:
     def states(self):
         """(n_steps + 1, dim) site-basis states, converted in one product."""
         x = self.coords
-        return x if self.basis is None else (self.basis @ x.T).T
+        return x if self.basis is None else _to_sites(self.basis, x.T).T
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -201,9 +201,9 @@ def classify_regime(
     ``config`` is the charge configuration at tau of the detector split
     that weighed the start, ``stationary`` its ``stationary_points`` and
     ``start`` that split's ``weigh(psi_in)``, formed once per run.  No
-    dim-sized vector is formed here: the spectrum's checks (roots inside
-    the disk, the 1e-10 phase guard, the exceptional test and the count
-    partition) and both decisions read the charges.
+    dim-sized vector is formed here: the spectrum's checks are
+    ``full_spectrum``'s own (``survival._classify``), and both decisions
+    read the charges.
 
     Two decisions make the regime.  Dark weight is checked first: any
     weight above ``dark_overlap_tol`` outlives every disk component.  It is
@@ -225,12 +225,8 @@ def classify_regime(
     split = start.split
     if config.zero_threshold != split.zero_threshold or config.p.size != start.o.size:
         raise InvalidParameterError("the charges and the start come from different splits")
-    disk = _disk_roots(stationary)
-    root_energies, overlaps = disk_root_levels(config, disk)
+    disk, root_energies, _, _, exceptional = _classify(split, config, stationary)
     aliased = [list(g) for g in stationary.groups if len(g) > 1]
-    n_circle = split.decomp.dim - split.bright_levels.size + sum(len(g) - 1 for g in aliased)
-    exceptional, _ = _exceptional(stationary, min(overlaps, default=1.0), n_circle,
-                                  split.decomp.dim)
 
     weights = start.dark.copy()
     for g in aliased:

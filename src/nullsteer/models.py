@@ -103,17 +103,11 @@ class SpectralDecomposition:
         return self.vectors[:, self.starts[k] : self.starts[k + 1]]
 
     def coords(self, v):
-        """Eigen-coordinates V^dag v of a site-basis state.
-
-        A real V takes two real products, V^T Re v and V^T Im v, so it is
-        never copied to complex.
-        """
+        """Eigen-coordinates V^dag v of a site-basis state (``_to_sites`` inverts it)."""
         v = as_vector(v)
         if np.iscomplexobj(self.vectors):
             return (v.conj() @ self.vectors).conj()
-        x = np.empty(self.dim, dtype=complex)
-        x.real, x.imag = self.vectors.T @ v.real, self.vectors.T @ v.imag
-        return x
+        return _to_sites(self.vectors.T, v)
 
     def projector(self, k):
         v = self.members(k)
@@ -143,6 +137,16 @@ class DetectionState:
 def as_vector(psi):
     """Complex 1-D array of a state given as a vector or a DetectionState."""
     return np.asarray(psi.vector if hasattr(psi, "vector") else psi, dtype=complex).ravel()
+
+
+def _to_sites(vectors, x):
+    """``vectors @ x`` for complex x (a vector or columns); with V, the inverse of
+    ``coords``.  A real ``vectors`` takes two real products, never a complex copy."""
+    if np.iscomplexobj(vectors):
+        return vectors @ x
+    out = np.empty(vectors.shape[:1] + x.shape[1:], dtype=complex)
+    out.real, out.imag = vectors @ x.real, vectors @ x.imag
+    return out
 
 
 def _phase_fix(v):

@@ -5,14 +5,15 @@ is diagonalized: one eigenvalue is always 0 (right vector U^-1 psi_d),
 unit-circle eigenvalues come from dark states (members of dark levels, and
 a Gram-Schmidt recursion inside bright ones), and the remaining eigenvalues
 are the charge-field stationary points (eigenvalues of the w x w
-bright-space block of S) with resolvent-formula eigenvectors.
+bright-space block of S) with rank-one resolvent eigenvectors (Golub,
+"Some modified matrix eigenvalue problems", SIAM Rev. 15, 1973).
 
 All of it works in the eigen-coordinates of H, where U(tau) is the vector
-z = exp(-i e tau) and S is diagonal plus rank one.  The dense
-``propagator``, ``build_survival`` and ``zero_eigenpair(U, ...)`` remain as
-oracles for tests.  The regime needs none of the vectors: its checks
-(``_disk_roots``, ``_exceptional``) are shared with ``full_spectrum``, and
-``evolution.classify_regime`` feeds them level-wise overlaps.
+z = exp(-i e tau) and S is diagonal plus rank one.  ``_classify`` reads the
+roots, counts, exceptional flag and disk |<L|R>| off the charges, for
+``full_spectrum`` and ``evolution.classify_regime`` alike; eigenvectors are
+built only when a spectrum's are read.  The dense ``propagator``,
+``build_survival`` and ``zero_eigenpair(U, ...)`` remain as test oracles.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .charges import (
     _dark_combinations,
     _guard_roots,
     charges as compute_charges,
+    disk_root_levels,
     stationary_points,
 )
 from .errors import (
@@ -36,7 +38,7 @@ from .errors import (
     InvalidParameterError,
     NumericalFailureError,
 )
-from .models import SpectralDecomposition, _phase_fix, as_vector, spectral_decompose
+from .models import SpectralDecomposition, _phase_fix, _to_sites, as_vector, spectral_decompose
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class SurvivalOperator:
@@ -87,19 +89,18 @@ class EigenSurvivalOperator:
 class SurvivalSpectrum:
     """Complete classified eigensystem of one survival operator, as arrays.
 
-    Column j of ``rights`` and ``lefts`` holds the unit right and left
-    eigenvectors of ``xis[j]``.  The columns run zero, disk, circle, with
-    ``counts`` columns of each kind (``kinds`` names them), and
-    ``source_levels[j]`` is the level of a per-level circle state, -1
-    for every other column (cross-level combinations included).
+    The columns run zero, disk, circle, with ``counts`` columns of each
+    kind (``kinds`` names them).  Column j has eigenvalue ``xis[j]``, unit
+    eigenvectors of |<L|R>| = ``biorthogonal_overlaps[j]`` and, for a
+    per-level circle state, ``source_levels[j]`` its level (-1 otherwise).
     ``stationary.groups`` are the charged levels grouped by shared phase;
-    their number is w_eff, the count of distinct charges.
+    their number is w_eff.  The eigenvectors (columns of ``rights`` and
+    ``lefts``) and their complex ``overlaps`` are built on first read.
     """
 
     xis: np.ndarray
-    rights: np.ndarray
-    lefts: np.ndarray
     source_levels: np.ndarray
+    biorthogonal_overlaps: np.ndarray
     counts: tuple
     exceptional_flag: bool
     min_biorthogonal_overlap: float
@@ -113,14 +114,31 @@ class SurvivalSpectrum:
         return np.repeat(("zero", "disk", "circle"), self.counts)
 
     @functools.cached_property
+    def _blocks(self):
+        """The disk rights and lefts, then the circle columns (their own lefts)."""
+        s, split, (n_zero, n_disk, _) = self.operator, self.operator.detection, self.counts
+        disk = disk_eigenpairs(s.decomp, split, s.tau, self.xis[n_zero : n_zero + n_disk])
+        cross = _cross_level_darks(split, self.charge_config, self.stationary.groups)
+        return disk[1], disk[2], split.dark_vectors, cross
+
+    @functools.cached_property
+    def rights(self):
+        """Unit right eigenvectors, column j for ``xis[j]``; xi = 0 has U^-1 psi_d."""
+        s, (disk, _, *circle) = self.operator, self._blocks
+        zero = _phase_fix(_to_sites(s.decomp.vectors, np.conj(s.z) * s.c))
+        return np.column_stack([zero] * self.counts[0] + [disk, *circle])
+
+    @functools.cached_property
+    def lefts(self):
+        """Unit left eigenvectors, column j for ``xis[j]``; xi = 0 has psi_d."""
+        _, disk, *circle = self._blocks
+        psi = self.operator.detection.vector
+        return np.column_stack([psi] * self.counts[0] + [disk, *circle])
+
+    @functools.cached_property
     def overlaps(self):
         """<left_j|right_j> of every column."""
-        return _vdots(self.lefts, self.rights)
-
-
-def _vdots(lefts, rights):
-    """np.vdot of each column pair, one column at a time."""
-    return np.array([np.vdot(l, r) for l, r in zip(lefts.T, rights.T)], dtype=complex)
+        return np.array([np.vdot(l, r) for l, r in zip(self.lefts.T, self.rights.T)])
 
 
 def build_survival(U, psi_d):
@@ -149,19 +167,18 @@ def dark_states(decomp, psi_d, tau):
 
 
 def _cross_level_darks(split, config, groups):
-    """Extra circle states (xis, vectors) when distinct bright levels alias
-    in phase.
+    """Extra circle states, as columns, when distinct bright levels alias
+    in phase: len(g) - 1 for each group g.
 
     Bright states of levels sharing one phase (the ``groups`` of
     ``stationary_points(config)``) support combinations with zero detector
     weight; the same recursion applies with alphas sqrt(p).
     """
-    xis, vectors = [], [np.empty((split.decomp.dim, 0), dtype=complex)]
+    vectors = [np.empty((split.decomp.dim, 0), dtype=complex)]
     for group in (g for g in groups if len(g) > 1):
         brights = np.column_stack([split.bright(k) for k in group])
         vectors.append(_dark_combinations(brights, np.sqrt(config.p[list(group)])))
-        xis += [complex(config.phases[group[0]])] * (len(group) - 1)
-    return np.array(xis, dtype=complex), np.column_stack(vectors)
+    return np.column_stack(vectors)
 
 
 def zero_eigenpair(U, psi_d):
@@ -177,8 +194,8 @@ def disk_eigenpairs(decomp, psi_d, tau, roots):
 
     right ~ (xi - U)^-1 |psi_d> = V (c / (xi - z)) and
     left ~ (conj(xi) - U^dag)^-1 U^dag |psi_d> = V (conj(z) c / (conj(xi) - conj(z))),
-    each root one column of a single product with V.  Roots within 1e-10 of
-    any level phase raise RootTooCloseError (``charges._guard_roots``).
+    each root one column of a single ``_to_sites`` product.  Roots within
+    1e-10 of any level phase raise RootTooCloseError (``charges._guard_roots``).
     """
     split = _as_split(decomp, psi_d)
     s = EigenSurvivalOperator(decomp, split, tau)
@@ -186,57 +203,54 @@ def disk_eigenpairs(decomp, psi_d, tau, roots):
     xis = np.array([complex(xi) for xi in roots], dtype=complex)
     _guard_roots(xis, np.exp(-1j * decomp.energies * tau), split.p)
     zc = np.conj(z)[:, None]
-    rights = decomp.vectors @ (c[:, None] / (xis - z[:, None]))
-    lefts = decomp.vectors @ (zc * c[:, None] / (np.conj(xis) - zc))
+    rights = _to_sites(decomp.vectors, c[:, None] / (xis - z[:, None]))
+    lefts = _to_sites(decomp.vectors, zc * c[:, None] / (np.conj(xis) - zc))
     rights = _phase_fix(rights / np.linalg.norm(rights, axis=0))
     lefts = _phase_fix(lefts / np.linalg.norm(lefts, axis=0))
     return xis, rights, lefts
 
 
-def _disk_roots(sp):
-    """The stationary points other than xi = 0, all strictly inside the unit
-    disk: a root on or outside the circle is a numerical failure."""
+def _classify(split, config, sp):
+    """The disk roots (those other than xi = 0), their ``disk_root_levels``
+    energies and overlaps, the (zero, disk, circle) counts and the
+    exceptional flag, read off the charges ``config`` of ``split`` and
+    their stationary points ``sp``.
+
+    A root on or outside the unit circle is a numerical failure.  Coalesced
+    stationary points (xi = 0 included) or a disk overlap below
+    COALESCENCE_TOL make the spectrum exceptional; any other spectrum must
+    satisfy the partition dim = 1 + (w_eff - 1) + circle states.
+    """
     if sp.max_abs >= 1.0:
         raise NumericalFailureError(
             f"stationary point |xi| = {sp.max_abs:.6g} is not strictly inside "
             "the unit disk"
         )
-    return [r for r in sp.roots if r != 0]
-
-
-def _exceptional(sp, min_biorth, n_circle, dim):
-    """The exceptional flag and the (zero, disk, circle) counts of a spectrum.
-
-    Coalesced stationary points (xi = 0 included) or a disk pair whose
-    biorthogonal overlap is below COALESCENCE_TOL make it exceptional; any
-    other spectrum must satisfy the partition
-    dim = 1 + (w_eff - 1) + circle states.
-    """
-    n_zero = sp.roots.count(0)
-    exceptional = bool(_coalesced(sp.roots)) or min_biorth < COALESCENCE_TOL
-    counts = (1 + n_zero, len(sp.roots) - n_zero, n_circle)
-    if not exceptional:
-        w_eff = len(sp.groups)
-        expected = (1, w_eff - 1, dim - w_eff)
-        if counts != expected:
-            raise NumericalFailureError(
-                f"spectrum partition {counts} does not match expected {expected}"
-            )
-    return exceptional, counts
+    disk = [r for r in sp.roots if r != 0]
+    energies, overlaps = disk_root_levels(config, disk)
+    n_circle = split.dark_levels.size + sum(len(g) - 1 for g in sp.groups)
+    counts = (1 + len(sp.roots) - len(disk), len(disk), n_circle)
+    exceptional = bool(_coalesced(sp.roots)) or min(overlaps, default=1.0) < COALESCENCE_TOL
+    expected = (1, len(sp.groups) - 1, split.decomp.dim - len(sp.groups))
+    if not exceptional and counts != expected:
+        raise NumericalFailureError(
+            f"spectrum partition {counts} does not match expected {expected}"
+        )
+    return disk, energies, overlaps, counts, exceptional
 
 
 def full_spectrum(model, psi_d, tau, grouping_tol=None):
-    """Assemble and classify the complete eigensystem of S.
+    """Classify the complete eigensystem of S from the charges.
 
     ``model`` is a HermitianModel, decomposed here with ``grouping_tol``, or
     an existing SpectralDecomposition, which is used as it stands.
     ``psi_d`` may be a DetectorSplit of that decomposition: a tau sweep
     then reuses its overlaps, charges and dark vectors, and only the
-    phases, the stationary points and the disk vectors are redone.  The
-    split's threshold decides which levels are dark (the default one for a
-    plain detection state).
-    Non-exceptional spectra satisfy the count partition
-    dim = 1 + (number of distinct charged phases - 1) + circle states.
+    phases and the stationary points are redone.  The split's threshold
+    decides which levels are dark (the default one for a plain detection
+    state).  No dim-sized vector is formed: |<L|R>| is |sum_k p_k conj(z_k)|
+    at xi = 0, the ``disk_root_levels`` overlap on the disk and 1 on the
+    circle (``_classify`` makes the checks); eigenvectors are built when read.
     Total coalescence at 0 (and any stationary-point coalescence or loss of
     disk biorthogonality) sets the exceptional flag; the spectrum is still
     returned, but spectral evolution and the completeness identity refuse it.
@@ -250,29 +264,22 @@ def full_spectrum(model, psi_d, tau, grouping_tol=None):
     else:
         decomp = spectral_decompose(model, grouping_tol)
     split = _as_split(decomp, psi_d)
-    s_op = EigenSurvivalOperator(decomp, split, tau)
     config = compute_charges(decomp, split, tau)
     sp = stationary_points(config)
-    dark_xis, darks, levels = dark_states(decomp, split, tau)
-    cross_xis, cross = _cross_level_darks(split, config, sp.groups)
-
-    zero_right = _phase_fix(decomp.vectors @ (np.conj(s_op.z) * s_op.c))
-    disk_xis, disk_rights, disk_lefts = disk_eigenpairs(decomp, split, tau, _disk_roots(sp))
-    min_biorth = float(min(map(abs, _vdots(disk_lefts, disk_rights)), default=1.0))
-    exceptional, counts = _exceptional(sp, min_biorth, levels.size + cross_xis.size,
-                                       decomp.dim)
-    # Roots at xi = 0 are the exact zeros stationary_points counted.
-    n_zero = counts[0]
+    disk, _, disk_overlaps, counts, exceptional = _classify(split, config, sp)
+    # Each alias group adds a circle state per level beyond its first.
+    n_zero, cross = counts[0], [g[0] for g in sp.groups for _ in g[1:]]
     return SurvivalSpectrum(
-        np.concatenate([np.zeros(n_zero, dtype=complex), disk_xis, dark_xis, cross_xis]),
-        np.column_stack([zero_right] * n_zero + [disk_rights, darks, cross]),
-        np.column_stack([split.vector] * n_zero + [disk_lefts, darks, cross]),
-        np.concatenate([np.full(n_zero + disk_xis.size, -1), levels,
-                        np.full(cross_xis.size, -1)]),
+        np.concatenate([np.zeros(n_zero, dtype=complex), disk,
+                        config.phases[split.dark_levels], config.phases[cross]]),
+        np.concatenate([np.full(n_zero + len(disk), -1), split.dark_levels,
+                        np.full(len(cross), -1)]),
+        np.concatenate([np.full(n_zero, abs(config.p @ config.phases.conj())),
+                        disk_overlaps, np.ones(counts[2])]),
         counts,
         exceptional,
-        min_biorth,
-        operator=s_op,
+        float(min(disk_overlaps, default=1.0)),
+        operator=EigenSurvivalOperator(decomp, split, tau),
         charge_config=config,
         stationary=sp,
     )

@@ -14,7 +14,7 @@ import pytest
 
 import nullsteer as ns
 from nullsteer.charges import ZERO_CHARGE_THRESHOLD, _dark_combinations
-from nullsteer.cli import run_experiment
+from nullsteer.cli import main, run_experiment
 from nullsteer.configio import resolve_state
 from nullsteer.csvio import format_value, read_csv
 
@@ -277,8 +277,9 @@ def test_split_circle_states_solve_dense_s(tree, monkeypatch):
     aliased = 2.0 * math.pi / (e[10] - e[4])  # two pairs of bright levels alias
     calls = []
     for tau in (1.1, aliased, 2.3):
-        before = len(combine)
         spectrum = ns.full_spectrum(decomp, split, tau)
+        before = len(combine)
+        spectrum.rights
         calls.append(len(combine) - before)
         s = ns.build_survival(ns.propagator(decomp, tau), psi_d).matrix
         assert disk_pair_residual(s, spectrum, "circle") <= 1e-12
@@ -290,10 +291,30 @@ def test_split_circle_states_solve_dense_s(tree, monkeypatch):
         assert np.array_equal(spectrum.source_levels[circle][:n_dark], split.dark_levels)
         cross = spectrum.source_levels[circle][n_dark:]
         assert (cross == -1).all() and cross.size == (2 if tau == aliased else 0)
-    # the first spectrum builds the split's dark vectors, the later ones only
-    # the cross-level combinations, one call per alias group
+    # full_spectrum builds no vector; the first spectrum's first read of
+    # rights builds the split's dark vectors, the later ones only the
+    # cross-level combinations, one call per alias group
+    assert len(combine) == sum(calls)
     assert calls[0] > 0 and calls[1:] == [2, 0]
     assert not split.dark_vectors.flags.writeable
+
+
+def test_spectrum_run_builds_no_eigenvector(tree, tmp_path, monkeypatch):
+    # spectrum.csv is read off the charges: a run builds no disk, dark or
+    # cross-level vector, here at a tau where two pairs of bright levels alias.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a spectrum run built an eigenvector")
+
+    _patch_everywhere(monkeypatch, ns.disk_eigenpairs, refuse)
+    _patch_everywhere(monkeypatch, _dark_combinations, refuse)
+    monkeypatch.setattr(ns.DetectorSplit, "dark_vectors", property(refuse))
+    e = ns.spectral_decompose(tree[0]).energies
+    payload = _tree_payload(3, 2.0 * math.pi / (e[10] - e[4]), "spectrum")
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write(tmp_path, payload), "--out", str(out)]) == 0
+    _, rows = read_csv(out / "spectrum.csv")
+    assert len(rows) == tree[0].dim
+    assert sum(row[0] == "circle" and row[4] == "-1" for row in rows) == 2
 
 
 def test_configured_zero_threshold_reaches_every_charge_call(tmp_path, monkeypatch):

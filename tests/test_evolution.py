@@ -178,6 +178,32 @@ def test_classify_exceptional():
     assert regime.crossover_step == 1
 
 
+def test_spectrum_and_regime_share_the_biorthogonality_decision():
+    # Both routes read the disk overlaps off the charges (survival._classify),
+    # so they agree bit for bit; dense eigenvectors differ in the last bits.
+    model = ns.build_glued_tree(8)
+    decomp = ns.spectral_decompose(model)
+    split = ns.DetectorSplit(decomp, ns.site_state(model, "(1,1)"))
+    for tau in (0.7, 1.2, 1.9):
+        spectrum = ns.full_spectrum(decomp, split, tau)
+        config = ns.charges(decomp, split, tau)
+        disk = [r for r in ns.stationary_points(config).roots if r != 0]
+        overlaps = ns.disk_root_levels(config, disk)[1]
+        assert spectrum.min_biorthogonal_overlap == min(overlaps)
+        n_zero, n_disk, _ = spectrum.counts
+        assert np.array_equal(spectrum.biorthogonal_overlaps[n_zero : n_zero + n_disk],
+                              overlaps)
+    model = ns.build_exceptional_three_level(1.0)
+    psi_d, psi_in = ns.site_state(model, "0"), ns.site_state(model, "1")
+    exceptional_tau = 2.0 * math.pi / 3.0
+    flags = []
+    for tau in exceptional_tau + np.array([-0.3, -0.05, -1e-6, 0.0, 1e-6, 0.05, 0.3]):
+        flag = ns.full_spectrum(model, psi_d, float(tau)).exceptional_flag
+        assert flag == (regime_of(model, psi_d, float(tau), psi_in).kind == "Exceptional")
+        flags.append(flag)
+    assert flags[3] and not flags[0] and not flags[-1]
+
+
 def test_classify_no_disk_certain_detection(two_level):
     model, decomp, psi_d = two_level
     spectrum = ns.full_spectrum(model, psi_d, math.pi)
