@@ -28,7 +28,7 @@ from .errors import (
     PoleError,
     RootTooCloseError,
 )
-from .models import SpectralDecomposition, _phase_fix, as_vector
+from .models import SpectralDecomposition, _phase_fix, _to_sites, as_vector
 
 #: Default bright/dark decision: a level with charge p_k at most this is dark.
 ZERO_CHARGE_THRESHOLD = 1e-12
@@ -154,14 +154,25 @@ def dark_combination_coeffs(alphas):
     return out
 
 
-def _dark_combinations(vectors, alphas):
-    """Unit, phase-fixed ``dark_combination_coeffs(alphas)`` combinations of
-    the orthonormal columns of ``vectors``, whose detector overlaps are
-    ``alphas``, as the columns of one array, real when they all are."""
-    out = []
-    for row in dark_combination_coeffs(alphas):
-        v = _phase_fix(vectors @ row)
-        out.append(v / np.linalg.norm(v))
+def _dark_combinations(vectors, alphas, only=None):
+    """Unit, phase-fixed dark combinations of the orthonormal columns of
+    ``vectors``, whose detector overlaps are ``alphas``, as the columns of
+    one array, real when they all are.
+
+    Column i - 1 is row i - 1 of ``dark_combination_coeffs(alphas)`` applied
+    to the columns: N_i v_i - conj(a_i) B_i with B_i = sum_{j<i} a_j v_j and
+    N_i = sum_{j<i} |a_j|^2, from a running sum over the first i + 1
+    columns.  ``only`` = i builds that one column alone, bit for bit as
+    among all of them.
+    """
+    a = np.asarray(alphas, dtype=complex)
+    out, bright, weight = [], 0.0, 0.0
+    for i in range(a.size if only is None else only + 1):
+        if i and only in (None, i):
+            v = _phase_fix(weight * vectors[:, i] - np.conj(a[i]) * bright)
+            out.append(v / np.linalg.norm(v))
+        bright = bright + a[i] * vectors[:, i]
+        weight += abs(a[i]) ** 2
     out = np.array(out, dtype=complex).reshape(-1, vectors.shape[0]).T
     return out if out.imag.any() else out.real
 
@@ -209,7 +220,7 @@ class DetectorSplit:
 
     def bright(self, k):
         """Normalized projection of the detector onto level k (p_k > 0)."""
-        return (self.decomp.members(k) @ self.overlaps(k)) / math.sqrt(self.p[k])
+        return _to_sites(self.decomp.members(k), self.overlaps(k)) / math.sqrt(self.p[k])
 
     @functools.cached_property
     def dark_levels(self):
@@ -218,8 +229,9 @@ class DetectorSplit:
         bright = np.isin(np.arange(self.decomp.w), self.bright_levels)
         return np.repeat(np.arange(self.decomp.w), self.decomp.degeneracies - bright)
 
-    def level_darks(self, k):
-        """(dim, n) array of level k's own dark states, real when they all are.
+    def level_darks(self, k, column=None):
+        """(dim, n) array of level k's own dark states, real when they all are;
+        with ``column`` = j, only column j, built alone and bit for bit the same.
 
         A dark level gives each of its members as it stands.  A bright
         level of degeneracy g gives g - 1: its members are sorted by
@@ -232,9 +244,14 @@ class DetectorSplit:
         if k in self.bright_levels:
             order = sorted(range(a.size), key=lambda l: (-abs(a[l]), l))
             seeds = order[:1] + [l for l in order[1:] if abs(a[l]) >= ORTHOGONALITY_TOL]
-        rest = _phase_fix(members[:, [l for l in range(a.size) if l not in seeds]])
-        combos = [_dark_combinations(members[:, seeds], a[seeds])] if seeds else []
-        return np.column_stack([rest] + combos)
+        rest = sorted(set(range(a.size)) - set(seeds))
+        if column is None:
+            combos = [_dark_combinations(members[:, seeds], a[seeds])] if seeds else []
+            return np.column_stack([_phase_fix(members[:, rest])] + combos)
+        if column < len(rest):
+            return _phase_fix(members[:, rest[column : column + 1]])[:, 0]
+        seeds = seeds[: column - len(rest) + 2]
+        return _dark_combinations(members[:, seeds], a[seeds], only=len(seeds) - 1)[:, 0]
 
     @functools.cached_property
     def dark_vectors(self):
@@ -473,19 +490,22 @@ def zeno_bound(decomp, tau):
     return bound, t_b, t_b / tau
 
 
-def _guard_roots(xis, phases, p):
-    """Refuse roots within 1e-10 of any level phase: the resolvent is singular there.
+def _guard_roots(xis, config):
+    """Refuse roots within 1e-10 of any level phase of ``config``: the
+    resolvent is singular there.
 
-    The message names the level and its charge, since a zero_threshold at
-    or above that charge makes the level dark and its root goes.
+    The message names the level, its charge and its energy, since a
+    zero_threshold at or above that charge makes the level dark and its
+    root goes.  The energy identifies the level when the decomposition
+    holds only some of H's levels, as a Krylov one does.
     """
-    close = np.argwhere(np.abs(xis[:, None] - phases) < 1e-10)
+    close = np.argwhere(np.abs(xis[:, None] - config.phases) < 1e-10)
     if close.size:
         i, k = close[0]
         raise RootTooCloseError(
             f"root {xis[i]:.6g} is within 1e-10 of a unit-circle phase, that of "
-            f"level {k} with charge {p[k]:.3g}; a zero_threshold at or above "
-            "that charge treats the level as dark"
+            f"level {k} with charge {config.p[k]:.3g} at energy {config.energies[k]:.6g}; "
+            "a zero_threshold at or above that charge treats the level as dark"
         )
 
 
@@ -502,7 +522,7 @@ def disk_root_levels(config, roots):
     """
     p, z = config.p, config.phases
     xis = np.asarray(roots, dtype=complex)
-    _guard_roots(xis, z, p)
+    _guard_roots(xis, config)
     inv = 1.0 / (xis[:, None] - z)
     weights = p * (inv * inv.conj()).real
     norm = weights.sum(axis=1)

@@ -51,7 +51,14 @@ from .evolution import (
     evolve,
 )
 from .figures import FIGURES
-from .models import site_state, spectral_decompose
+from .models import (
+    KRYLOV_BREAKDOWN_TOL,
+    DetectionState,
+    HermitianModel,
+    krylov_basis,
+    site_state,
+    spectral_decompose,
+)
 from .perturbation import (
     triple_charge_estimate,
     two_merge_estimate,
@@ -63,7 +70,14 @@ from .svgplot import SvgFigure
 
 
 class _Runtime:
-    """Resolved model machinery shared by the experiment runners."""
+    """Resolved model machinery shared by the experiment runners.
+
+    A ``regime`` run whose detector and start name no ``energy_state``
+    works in the block Krylov space of the two: its decomposition, split
+    and start weights are those of the model Q^dag H Q, with ``basis`` = Q.
+    Every other run, and a regime run whose space passes
+    ``KRYLOV_MAX_SHARE`` of dim, decomposes H itself (``basis`` None).
+    """
 
     def __init__(self, config, tie_tol=None, grouping_tol=None):
         tols = dict(config.tolerances)
@@ -76,8 +90,21 @@ class _Runtime:
         self.tie_tol = tols.get("tie_tol", DEFAULT_TIE_TOL)
         self.dark_overlap_tol = tols.get("dark_overlap_tol", DEFAULT_DARK_OVERLAP_TOL)
         self.model = build_model(config)
-        self.decomp = spectral_decompose(self.model, self.grouping_tol)
-        self.psi_d = resolve_detection(config, self.model, self.decomp)
+        self.basis, psi_d, reduced = None, None, None
+        if config.experiment == "regime" and not any(
+                map(_names_energy_state, (config.detection, config.initial_state))):
+            # Neither state needs a decomposition to resolve.
+            psi_d = resolve_detection(config, self.model, None)
+            self.initial_state = resolve_state(config.initial_state, self.model, None)
+            reduced = krylov_basis(self.model.hamiltonian, (psi_d, self.initial_state))
+        if reduced is None or len(reduced[1]) < 2:  # a model needs dim >= 2
+            self.decomp = spectral_decompose(self.model, self.grouping_tol)
+            self.psi_d = psi_d or resolve_detection(config, self.model, self.decomp)
+        else:
+            self.basis, h = reduced
+            self.decomp = spectral_decompose(
+                HermitianModel(h, tuple(map(str, range(h.shape[0])))), self.grouping_tol)
+            self.psi_d = DetectionState(self.basis.T.conj() @ psi_d.vector, psi_d.description)
         self.split = DetectorSplit(self.decomp, self.psi_d,
                                    tols.get("zero_threshold", ZERO_CHARGE_THRESHOLD))
 
@@ -91,7 +118,10 @@ class _Runtime:
     @functools.cached_property
     def start(self):
         # The initial state's level weights, also the same at every tau.
-        return None if self.initial_state is None else self.split.weigh(self.initial_state)
+        psi = self.initial_state
+        if psi is None:
+            return None
+        return self.split.weigh(psi if self.basis is None else self.basis.T.conj() @ psi)
 
     def spectrum(self, tau):
         return full_spectrum(self.decomp, self.split, tau)
@@ -111,7 +141,13 @@ class _Runtime:
             "tie_tol": self.tie_tol,
             "zero_threshold": self.split.zero_threshold,
             "dark_overlap_tol": self.dark_overlap_tol,
+            "krylov_breakdown_tol": KRYLOV_BREAKDOWN_TOL,
         }
+
+
+def _names_energy_state(spec):
+    """Whether a state spec, or a term of its combination, is an ``energy_state``."""
+    return "energy_state" in spec or any(map(_names_energy_state, spec.get("combination", ())))
 
 
 def _run_spectrum(rt, out_dir):
@@ -390,6 +426,8 @@ def run_experiment(config_path, out_dir, dump_states=False, tie_tol=None,
         "n_steps": config.n_steps,
         "dump_states": bool(dump_states),
         "tolerances": rt.resolved_tolerances(),
+        "route": "eigh" if rt.basis is None else "krylov",
+        "krylov_dim": None if rt.basis is None else rt.basis.shape[1],
         "versions": _versions(),
         "wall_time_s": time.monotonic() - started,
         "outputs": [os.path.basename(f) for f in files],

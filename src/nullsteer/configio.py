@@ -354,7 +354,7 @@ def aligned_member(decomp, psi_d, level_index, member_index):
         split = _as_split(decomp, psi_d)
         if level_index in split.bright_levels:
             if member_index:
-                return split.level_darks(level_index)[:, member_index - 1].copy()
+                return split.level_darks(level_index, member_index - 1)
             return split.bright(level_index)
     return decomp.members(level_index)[:, member_index].copy()
 

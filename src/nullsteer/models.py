@@ -1,4 +1,4 @@
-"""Model Hamiltonians, spectral decomposition, and the propagator.
+"""Model Hamiltonians, spectral decomposition, block Krylov bases, and the propagator.
 
 All Hamiltonians are finite Hermitian matrices (hbar = 1).  The spectral
 decomposition groups numerically degenerate eigenvalues into levels, which
@@ -21,6 +21,16 @@ DEFAULT_GROUPING_REL_TOL = 1e-8
 
 #: Absolute per-entry Hermiticity tolerance accepted by build_custom.
 HERMITICITY_TOL = 1e-10
+
+#: A new block Krylov direction whose norm, once orthogonalized, is at most
+#: this times the largest ||H q|| met so far (1 for the start vectors) is
+#: rounding, not a direction: the build ends when a block has none left.
+KRYLOV_BREAKDOWN_TOL = 1e-12
+
+#: ``krylov_basis`` gives up once the space passes this share of dim: on a
+#: dense H each block of two columns reads all of H, and at dim 800 a tenth
+#: of dim already costs about a third of an ``eigh``.
+KRYLOV_MAX_SHARE = 0.1
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -50,8 +60,12 @@ class HermitianModel:
             raise InvalidParameterError("hamiltonian must be square with dim >= 2")
         if h.shape[0] != len(self.basis_labels):
             raise InvalidParameterError("dim must equal the number of basis labels")
-        if np.max(np.abs(h - h.conj().T)) > 1e-12:
-            raise InvalidMatrixError("stored hamiltonian must be Hermitian to 1e-12")
+        # max |H - H^dag| tile by tile over the upper triangle: no dim x dim
+        # temporary, and each transposed tile is read from cache.
+        n, t = h.shape[0], 256
+        for i, j in ((i, j) for i in range(0, n, t) for j in range(i, n, t)):
+            if np.max(np.abs(h[i : i + t, j : j + t] - h[j : j + t, i : i + t].conj().T)) > 1e-12:
+                raise InvalidMatrixError("stored hamiltonian must be Hermitian to 1e-12")
         labels = tuple(str(s) for s in self.basis_labels)
         if len(set(labels)) < len(labels):
             repeated = sorted({s for s in labels if labels.count(s) > 1})
@@ -227,22 +241,20 @@ def build_glued_tree(d):
     sizes = glued_tree_column_sizes(d)
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     dim = int(offsets[-1])
-    adj = np.zeros((dim, dim))
-    for j in range(2 * d):
-        for s in range(sizes[j]):
-            a = offsets[j] + s
-            if j < d:
-                children = (2 * s, 2 * s + 1)
-            else:
-                children = (s // 2,)
-            for t in children:
-                b = offsets[j + 1] + t
-                adj[a, b] = adj[b, a] = 1.0
-    labels = []
-    for j in range(2 * d + 1):
-        for s in range(sizes[j]):
-            labels.append(f"({j + 1},{s + 1})")
-    return HermitianModel(-adj, tuple(labels))
+    # Every edge by its left end (j, s), vertex `left`: j < d links down to
+    # (j+1, 2s) and (j+1, 2s+1), j >= d up to (j+1, s // 2).
+    left = np.arange(dim - 1)
+    col = np.repeat(np.arange(2 * d), sizes[:-1])
+    site = left - offsets[col]
+    down, up = left[col < d], left[col >= d]
+    rows = np.concatenate((down, down, up))
+    ends = offsets[col[rows] + 1] + np.concatenate((2 * site[down], 2 * site[down] + 1,
+                                                    site[up] // 2))
+    # -0.0 off the edges, the bits of -adjacency: eigh's reflections read them.
+    h = np.full((dim, dim), -0.0)
+    h[rows, ends] = h[ends, rows] = -1.0
+    labels = [f"({j + 1},{s + 1})" for j in range(2 * d + 1) for s in range(sizes[j])]
+    return HermitianModel(h, tuple(labels))
 
 
 def build_exceptional_three_level(gamma):
@@ -323,6 +335,46 @@ def spectral_decompose(model, grouping_tol=None):
     for array in (energies, starts, vecs):
         array.flags.writeable = False
     return SpectralDecomposition(energies, starts, vecs, float(grouping_tol))
+
+
+def krylov_basis(h, vectors):
+    """Orthonormal basis Q of span{H^j v : v in vectors, j >= 0}, and Q^dag H Q.
+
+    Block Lanczos: each block is H times the previous one, orthogonalized
+    column by column against every column so far, twice ("twice is
+    enough"); directions at or below KRYLOV_BREAKDOWN_TOL are dropped, and
+    a block left empty ends the build.  The space is invariant under H, so
+    the Hermitian k x k model Q^dag H Q (symmetrized) has H's levels that
+    the vectors reach, each at most len(vectors) times.  Q is real when H
+    and the vectors are.  Returns None once k passes KRYLOV_MAX_SHARE * dim.
+    """
+    vectors = [as_vector(v) for v in vectors]
+    real = not np.iscomplexobj(h) and not any(v.imag.any() for v in vectors)
+    dim, width = h.shape[0], len(vectors)
+    cap = int(KRYLOV_MAX_SHARE * dim)
+    # Column-major, so the pages of the columns never reached stay untouched.
+    q = np.empty((dim, cap + width), dtype=float if real else complex, order="F")
+    hq = np.empty_like(q)
+    block = np.column_stack([v.real if real else v for v in vectors])
+    k, tol, largest = 0, KRYLOV_BREAKDOWN_TOL, 0.0
+    while True:
+        first = k
+        for v in block.T:
+            for _ in range(2):
+                v = v - q[:, :k] @ (q[:, :k].conj().T @ v)
+            norm = np.linalg.norm(v)
+            if norm > tol:
+                q[:, k] = v / norm
+                k += 1
+        if k > cap:
+            return None
+        if k == first:
+            break
+        block = hq[:, first:k] = h @ q[:, first:k] if real else _to_sites(h, q[:, first:k])
+        largest = max(largest, float(np.linalg.norm(block, axis=0).max()))
+        tol = KRYLOV_BREAKDOWN_TOL * largest
+    t = q[:, :k].conj().T @ hq[:, :k]
+    return q[:, :k], 0.5 * (t + t.conj().T)
 
 
 def propagator(decomp, tau):

@@ -201,7 +201,7 @@ def disk_eigenpairs(decomp, psi_d, tau, roots):
     s = EigenSurvivalOperator(decomp, split, tau)
     c, z = s.c, s.z
     xis = np.array([complex(xi) for xi in roots], dtype=complex)
-    _guard_roots(xis, np.exp(-1j * decomp.energies * tau), split.p)
+    _guard_roots(xis, compute_charges(decomp, split, tau))
     zc = np.conj(z)[:, None]
     rights = _to_sites(decomp.vectors, c[:, None] / (xis - z[:, None]))
     lefts = _to_sites(decomp.vectors, zc * c[:, None] / (np.conj(xis) - zc))

@@ -192,12 +192,13 @@ def test_run_spectrum_files_and_manifest(tmp_path):
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert set(manifest) == {
         "command", "config_path", "config", "experiment", "tau_values",
-        "n_steps", "dump_states", "tolerances", "versions", "wall_time_s",
-        "outputs",
+        "n_steps", "dump_states", "tolerances", "route", "krylov_dim", "versions",
+        "wall_time_s", "outputs",
     }
     assert set(manifest["tolerances"]) == {
-        "grouping_tol", "tie_tol", "zero_threshold", "dark_overlap_tol"
+        "grouping_tol", "tie_tol", "zero_threshold", "dark_overlap_tol", "krylov_breakdown_tol"
     }
+    assert (manifest["route"], manifest["krylov_dim"]) == ("eigh", None)
     assert set(manifest["versions"]) == {"nullsteer", "numpy", "python"}
     assert manifest["outputs"] == ["spectrum.csv"]
     assert manifest["experiment"] == "spectrum"
@@ -620,6 +621,7 @@ def test_run_regime_at_a_weak_level_phase_is_exit_4(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "within 1e-10 of a unit-circle phase" in err
     assert "level 1 with charge 8.16e-12" in err
+    assert "at energy 3;" in err  # level 1 is the D level, pinned near E_D
 
 
 def test_run_regime_of_a_fully_dark_detector_is_exit_4(tmp_path, capsys):

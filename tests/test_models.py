@@ -64,6 +64,65 @@ def test_glued_tree_structure():
     assert adj.sum() == 2 * 2 * (2**3 - 1) * 2  # 28 edges
 
 
+def _loop_glued_tree(d):
+    """Oracle: -adjacency of the depth-d glued tree, edge by edge."""
+    sizes = ns.glued_tree_column_sizes(d)
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    adj = np.zeros((offsets[-1], offsets[-1]))
+    for j in range(2 * d):
+        for s in range(sizes[j]):
+            for t in ((2 * s, 2 * s + 1) if j < d else (s // 2,)):
+                a, b = offsets[j] + s, offsets[j + 1] + t
+                adj[a, b] = adj[b, a] = 1.0
+    return np.negative(adj, out=adj)  # -adj, negative zeros included
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_glued_tree_matches_the_edge_loop_bit_for_bit(d):
+    # Negative zeros too: eigh's reflections read their sign.
+    want = _loop_glued_tree(d).tobytes()
+    assert ns.build_glued_tree(d).hamiltonian.tobytes() == want
+
+
+def test_hermiticity_check_reaches_every_tile():
+    # dim 600 spans three 256-wide tiles; the flaw sits in the last pair.
+    h = np.zeros((600, 600))
+    h[3, 590], h[590, 3] = 1.0, 1.0 + 2e-12
+    with pytest.raises(InvalidMatrixError, match="Hermitian to 1e-12"):
+        ns.HermitianModel(h, tuple(map(str, range(600))))
+    h[590, 3] = 1.0 + 5e-13
+    assert ns.HermitianModel(h, tuple(map(str, range(600)))).dim == 600
+
+
+@pytest.mark.parametrize("d", [3, 5, 8])
+def test_krylov_basis_of_the_tree_is_its_column_space(d):
+    """The root and a column-2 start span the 2d + 1 column states: Q^dag H Q
+    is H on an invariant space, with the column chain's levels."""
+    model = ns.build_glued_tree(d)
+    root = ns.site_state(model, "(1,1)")
+    start = ns.site_state(model, "(2,1)") + ns.site_state(model, "(2,2)")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ns.models, "KRYLOV_MAX_SHARE", 1.0)
+        q, h = ns.models.krylov_basis(model.hamiltonian, (root, start / math.sqrt(2.0)))
+    assert q.dtype == h.dtype == float and q.shape == (model.dim, 2 * d + 1)
+    np.testing.assert_allclose(q.T @ q, np.eye(2 * d + 1), atol=1e-14)
+    assert np.abs(model.hamiltonian @ q - q @ h).max() < 1e-13
+    chain = -2.0 * math.sqrt(2.0) * np.cos(np.arange(1, 2 * d + 2) * np.pi / (2 * d + 2))
+    np.testing.assert_allclose(np.linalg.eigvalsh(h), np.sort(chain), atol=1e-13)
+
+
+def test_krylov_basis_gives_up_past_its_share():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(40, 40))
+    h = a + a.T
+    vectors = (np.eye(40)[0], rng.normal(size=40))
+    assert ns.models.krylov_basis(h, vectors) is None  # a generic start fills the space
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ns.models, "KRYLOV_MAX_SHARE", 1.0)
+        q, _ = ns.models.krylov_basis(h + 1j * np.triu(a, 1) - 1j * np.triu(a, 1).T, vectors)
+    assert q.dtype == complex and q.shape == (40, 40)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_glued_tree_analytic_spectrum(d):
     """Level energies and degeneracies match the closed-form mode families."""

@@ -11,7 +11,8 @@ from nullsteer import (
     NumericalFailureError,
     RootTooCloseError,
 )
-from nullsteer.charges import ALIAS_TOL, _alias_groups
+from nullsteer.charges import ALIAS_TOL, _alias_groups, _dark_combinations
+from nullsteer.configio import aligned_member
 
 from helpers import (
     aliased_model,
@@ -137,6 +138,53 @@ def test_dark_combination_coeffs_invariants():
     np.testing.assert_allclose(gram, np.eye(4), atol=1e-12)
     # every row kills the detector weights
     assert np.max(np.abs(rows @ a.conj())) < 1e-12
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_dark_combinations_apply_the_coefficient_rows(real):
+    """The running-sum build against its reference, the rows of
+    ``dark_combination_coeffs`` applied to the columns, up to phase."""
+    rng = np.random.default_rng(11)
+    vectors = np.linalg.qr(rng.normal(size=(12, 7)))[0] if real else random_unitary(rng, 12)[:, :7]
+    a = rng.normal(size=7) + (0 if real else 1j) * rng.normal(size=7)
+    got = _dark_combinations(vectors, a)
+    assert got.dtype == (float if real else complex) and got.shape == (12, 6)
+    for column, row in zip(got.T, ns.dark_combination_coeffs(a)):
+        want = vectors @ row
+        phase = np.vdot(want, column)
+        assert abs(abs(phase) - 1.0) < 1e-13
+        np.testing.assert_allclose(column, phase * want, atol=1e-14)
+
+
+def _darks_cases():
+    tree = ns.build_glued_tree(5)
+    yield ns.spectral_decompose(tree), ns.site_state(tree, "(1,1)")
+    # Levels 0 and 2 pi alias at tau = 1; two of the levels are degenerate.
+    rng = np.random.default_rng(4)
+    q = random_unitary(rng, 6)
+    model = ns.build_custom((q * [0.0, 0.0, 2.0 * math.pi, 1.0, 1.0, 3.0]) @ q.conj().T)
+    psi_d = rng.normal(size=6) + 1j * rng.normal(size=6)
+    yield ns.spectral_decompose(model), psi_d / np.linalg.norm(psi_d)
+    model, psi_d, _ = random_model(25)  # a level of degeneracy 5
+    yield ns.spectral_decompose(model), psi_d
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_each_dark_member_is_built_alone_bit_for_bit(case):
+    decomp, psi_d = list(_darks_cases())[case]
+    split = ns.DetectorSplit(decomp, psi_d)
+    combos = 0
+    for k in range(decomp.w):
+        darks = split.level_darks(k)
+        bright = k in split.bright_levels
+        combos += bright and decomp.degeneracies[k] > 1
+        for j in range(darks.shape[1]):
+            alone = split.level_darks(k, j)
+            assert alone.dtype == darks.dtype
+            assert alone.tobytes() == darks[:, j].tobytes()
+            member = aligned_member(decomp, split, k, j + 1 if bright else j)
+            assert member.tobytes() == (alone if bright else decomp.members(k)[:, j]).tobytes()
+    assert combos  # each case has a bright level with combinations
 
 
 def test_dark_states_tree(tree):
